@@ -186,15 +186,24 @@ def learn_weights(
     """Greedy two-level sweep of the motion weight (step 0.1, 11 points
     per level).  A candidate replaces the incumbent only when it strictly
     improves MOTA, or matches MOTA with strictly fewer id switches; ties
-    keep the smaller weight.  Returns (lambda1, lambda2)."""
+    keep the smaller weight.  Returns (lambda1, lambda2).
+
+    The association graph depends on the weights only through each row's
+    ``(i, j, score, cost)``; a point whose refit rows repeat an earlier
+    point's reuses that point's report (with no flagged row, every point
+    does)."""
     if not ground_truth:
         raise ValueError("weight learning needs labeled ground truth")
+    reports: dict[tuple, MetricReport] = {}
 
     def run(lambda1: float, lambda2: float) -> MetricReport:
         candidate_cfg = _with_lambdas(cfg, lambda1, lambda2)
         refit = [aff.refit_lambdas(tbl, candidate_cfg) for tbl in tables]
-        trajectories = associate(reliable_tracklets, refit, candidate_cfg)
-        report = evaluate(result_view(trajectories), ground_truth)
+        key = tuple((r.i, r.j, r.score, r.cost) for tbl in refit for r in tbl.rows)
+        report = reports.get(key)
+        if report is None:
+            trajectories = associate(reliable_tracklets, refit, candidate_cfg)
+            report = reports[key] = evaluate(result_view(trajectories), ground_truth)
         if trace is not None:
             trace.append((lambda1, lambda2, report.mota, report.ids))
         return report

@@ -1,36 +1,40 @@
-"""Minimum-cost flow over source/sink DAGs with unit node capacities.
+"""Minimum-cost node-disjoint source->sink paths in a DAG, solved as one
+sparse assignment problem.
 
-Every graph node is split into an in/out vertex pair joined by a
-capacity-1 edge carrying the node's own cost, so each node can lie on at
-most one source->sink path.  Paths are found by successive shortest
-augmentation: the first search runs Bellman-Ford (edge costs may be
-negative), subsequent searches run Dijkstra on costs reduced by node
-potentials.  A plain Bellman-Ford-every-round variant is kept for
-cross-checking.
+A set of node-disjoint paths gives every used node exactly one
+predecessor (another node or the source) and one successor (another
+node or the sink).  That is a bipartite matching between rows ``out_v``
+(v's successor) plus an entry slot ``e_v``, and columns ``in_v`` (v's
+predecessor) plus an exit slot ``x_v``:
 
-Two solve modes:
+* ``out_v -> in_v``  v is unused, cost 0 (absent for must-cover nodes)
+* ``out_u -> in_w``  link u -> w, cost ``c_uw + node_cost(w)``
+* ``e_v  -> in_v``   v starts a path, cost ``entry_v + node_cost(v)``
+* ``out_v -> x_v``   v ends a path, cost ``exit_v``
+* ``e_v -> x_v`` and ``e_w -> x_u`` for every link u -> w are cost-0
+  fillers that absorb the entry and exit slots a cover leaves free.
 
-* ``free``      -- return the cheapest flow of any size; augmentation
-                   stops as soon as the next cheapest path would not
-                   lower the total cost.
-* ``cover_all`` -- every node flagged ``must_cover`` carries exactly one
-                   unit of flow.  The unit lower bound on its split edge
-                   is removed by pre-pushing the mandatory unit, and the
-                   resulting vertex imbalances (together with those from
-                   pre-saturating negative-cost edges) are repaired by a
-                   supply/demand min-cost flow through super terminals.
+Each used node pays its own cost once, on the arc into ``in_v``.  Every
+perfect matching is a path cover of the same cost (the graph is acyclic,
+so predecessor chains end at the source) and every cover extends to a
+perfect matching, so the minimum-weight full matching, found by LAPJVsp
+(Jonker & Volgenant 1987), is the optimal cover.
+
+Mode ``free`` returns the cheapest set of paths of any size, possibly
+none; mode ``cover_all`` puts every node flagged ``must_cover`` on a path.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
 SOURCE = -1
 SINK = -2
-
-_INF = math.inf
 
 
 class FlowGraphError(ValueError):
@@ -95,51 +99,9 @@ class FlowGraph:
 
 
 @dataclass
-class SplitGraph:
-    """Node-split internal view.  Vertex numbering: 0 = source,
-    1 = sink, then (in, out) = (2 + 2k, 3 + 2k) for the k-th node in
-    ascending node-id order."""
-
-    node_order: list[int]
-    index_of: dict[int, int]
-    split_arcs: list[tuple[int, int, float, int]]  # (u, v, cost, node_id)
-    edge_arcs: list[tuple[int, int, float]]
-
-    @property
-    def split_node_count(self) -> int:
-        return 2 * len(self.node_order)
-
-    @property
-    def internal_edge_count(self) -> int:
-        return len(self.split_arcs) + len(self.edge_arcs)
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 + 2 * len(self.node_order)
-
-    def vin(self, node_id: int) -> int:
-        return 2 + 2 * self.index_of[node_id]
-
-    def vout(self, node_id: int) -> int:
-        return 3 + 2 * self.index_of[node_id]
-
-
-def node_split(g: FlowGraph) -> SplitGraph:
-    """Split each node v into v_in -> v_out with capacity 1 and the node's
-    cost; edges are rewired out-of-tail to into-head.  Raises on cycles."""
-    _check_acyclic(g)
-    order = sorted(g.node_ids)
-    index_of = {n: k for k, n in enumerate(order)}
-    sg = SplitGraph(node_order=order, index_of=index_of, split_arcs=[], edge_arcs=[])
-    for n in order:
-        sg.split_arcs.append((sg.vin(n), sg.vout(n), g.node_cost(n), n))
-    for u, v, cost in g.edges:
-        src = 0 if u == SOURCE else sg.vout(u)
-        dst = 1 if v == SINK else sg.vin(v)
-        sg.edge_arcs.append((src, dst, cost))
-    # deterministic arc order: by (tail, head)
-    sg.edge_arcs.sort(key=lambda a: (a[0], a[1], a[2]))
-    return sg
+class FlowResult:
+    paths: list[list[int]]
+    total_cost: float
 
 
 def _check_acyclic(g: FlowGraph):
@@ -163,288 +125,111 @@ def _check_acyclic(g: FlowGraph):
         raise FlowGraphError("flow graph contains a cycle")
 
 
-@dataclass
-class FlowResult:
-    paths: list[list[int]]
-    total_cost: float
+def _closure(seeds: set[int], adjacency: dict[int, list[int]]) -> set[int]:
+    """All vertices reachable from ``seeds`` (seeds included)."""
+    out = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for v in adjacency.get(u, []):
+            if v not in out:
+                out.add(v)
+                stack.append(v)
+    return out
 
 
-class _Residual:
-    """Adjacency-array residual network with paired reverse arcs."""
-
-    def __init__(self, n_vertices: int):
-        self.n = n_vertices
-        self.head: list[list[int]] = [[] for _ in range(n_vertices)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.cost: list[float] = []
-
-    def add(self, u: int, v: int, cap: float, cost: float) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.cost.append(-cost)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def push(self, arc: int, amount: float):
-        self.cap[arc] -= amount
-        self.cap[arc ^ 1] += amount
-
-    def flow_on(self, arc: int, original_cap: float) -> float:
-        return original_cap - self.cap[arc]
+def _cheapest_edges(g: FlowGraph):
+    """Entry, exit and link costs with parallel edges reduced to their
+    cheapest copy."""
+    entry: dict[int, float] = {}
+    exit_: dict[int, float] = {}
+    links: dict[tuple[int, int], float] = {}
+    for u, v, cost in g.edges:
+        if u == SOURCE and v == SINK:
+            continue  # a path through no node covers nothing
+        if u == SOURCE:
+            entry[v] = min(cost, entry.get(v, math.inf))
+        elif v == SINK:
+            exit_[u] = min(cost, exit_.get(u, math.inf))
+        else:
+            links[(u, v)] = min(cost, links.get((u, v), math.inf))
+    return entry, exit_, links
 
 
-def _bellman_ford(res: _Residual, src: int):
-    dist = [_INF] * res.n
-    parent = [-1] * res.n
-    dist[src] = 0.0
-    for _ in range(res.n):
-        changed = False
-        for u in range(res.n):
-            du = dist[u]
-            if du == _INF:
-                continue
-            for arc in res.head[u]:
-                if res.cap[arc] <= 0:
-                    continue
-                v = res.to[arc]
-                nd = du + res.cost[arc]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = arc
-                    changed = True
-        if not changed:
-            break
-    return dist, parent
+def _uncoverable(g: FlowGraph, entry, exit_, links) -> list[int]:
+    """Must-cover nodes that no source->sink path passes through."""
+    succ: dict[int, list[int]] = {}
+    pred: dict[int, list[int]] = {}
+    for u, v in links:
+        succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
+    on_path = _closure(set(entry), succ) & _closure(set(exit_), pred)
+    return sorted(n for n in g.must_cover_ids if n not in on_path)
 
 
-def _dijkstra(res: _Residual, src: int, potential: list[float]):
-    dist = [_INF] * res.n
-    parent = [-1] * res.n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    done = [False] * res.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        pu = potential[u]
-        if pu == _INF:
-            continue
-        for arc in res.head[u]:
-            if res.cap[arc] <= 0:
-                continue
-            v = res.to[arc]
-            if potential[v] == _INF:
-                continue  # unreachable vertices stay unreachable
-            nd = d + res.cost[arc] + pu - potential[v]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = arc
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
-
-
-class _Ssp:
-    """Successive shortest paths with node potentials (or plain
-    Bellman-Ford every round when ``use_potentials`` is False)."""
-
-    def __init__(self, res: _Residual, src: int, use_potentials: bool):
-        self.res = res
-        self.src = src
-        self.use_potentials = use_potentials
-        self.potential: list[float] | None = None
-
-    def shortest(self, dst: int):
-        """Return (true_cost_to_dst, parent) or (None, parent) if dst is
-        unreachable in the residual network."""
-        if self.potential is None or not self.use_potentials:
-            dist, parent = _bellman_ford(self.res, self.src)
-            if self.use_potentials:
-                self.potential = dist
-            if dist[dst] == _INF:
-                return None, parent
-            return dist[dst], parent
-        dist, parent = _dijkstra(self.res, self.src, self.potential)
-        if dist[dst] == _INF:
-            return None, parent
-        true_cost = dist[dst] + self.potential[dst] - self.potential[self.src]
-        for v in range(self.res.n):
-            if dist[v] < _INF and self.potential[v] < _INF:
-                self.potential[v] += dist[v]
-        return true_cost, parent
-
-    def augment(self, dst: int, parent: list[int], amount: float = 1.0) -> float:
-        """Push ``amount`` along the parent chain into dst; returns the
-        bottleneck actually pushed."""
-        bottleneck = amount
-        v = dst
-        while v != self.src:
-            arc = parent[v]
-            bottleneck = min(bottleneck, self.res.cap[arc])
-            v = self.res.to[arc ^ 1]
-        v = dst
-        while v != self.src:
-            arc = parent[v]
-            self.res.push(arc, bottleneck)
-            v = self.res.to[arc ^ 1]
-        return bottleneck
-
-
-def solve_paths(
-    g: FlowGraph, mode: str = "free", shortest_path: str = "potentials"
-) -> FlowResult:
+def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
     """Solve for a minimum-cost set of node-disjoint source->sink paths.
 
-    ``shortest_path`` selects the augmentation engine: "potentials"
-    (Bellman-Ford once, then Dijkstra on reduced costs) or "bellman"
-    (Bellman-Ford every round); both produce the same cost.
+    Paths are returned sorted by their first node; ``total_cost`` sums
+    the entry, node, link and exit costs along them.
     """
     if mode not in ("free", "cover_all"):
         raise ValueError(f"unknown mode {mode!r}")
-    if shortest_path not in ("potentials", "bellman"):
-        raise ValueError(f"unknown shortest_path engine {shortest_path!r}")
-    sg = node_split(g)
-    if mode == "free":
-        return _solve_free(g, sg, shortest_path == "potentials")
-    return _solve_cover_all(g, sg, shortest_path == "potentials")
+    _check_acyclic(g)
+    entry, exit_, links = _cheapest_edges(g)
+    must_cover = mode == "cover_all"
+    if must_cover:
+        bad = _uncoverable(g, entry, exit_, links)
+        if bad:
+            raise InfeasibleCoverError(bad)
+    order = sorted(g.node_ids)
+    n = len(order)
+    if n == 0:
+        return FlowResult(paths=[], total_cost=0.0)
+    index = {node: k for k, node in enumerate(order)}
 
+    # rows: out_k = k, e_k = n + k; columns: in_k = k, x_k = n + k
+    arcs: list[tuple[int, int, float]] = []
+    for k, node in enumerate(order):
+        if not (must_cover and g.is_must_cover(node)):
+            arcs.append((k, k, 0.0))
+        arcs.append((n + k, n + k, 0.0))
+        if node in entry:
+            arcs.append((n + k, k, entry[node] + g.node_cost(node)))
+        if node in exit_:
+            arcs.append((k, n + k, exit_[node]))
+    for (u, w), cost in links.items():
+        i, j = index[u], index[w]
+        arcs.append((i, j, cost + g.node_cost(w)))
+        arcs.append((n + j, n + i, 0.0))
+    arcs.sort()  # the matrix, and so the tie-break, ignores edge insertion order
+    rows, cols, weights = (np.array(a) for a in zip(*arcs))
+    # Integer weights: on real costs LAPJVsp loops forever once a dual
+    # update rounds to nothing.  Sums of 2n weights stay below 2**50, so
+    # its arithmetic is exact; the power-of-two scale keeps dyadic costs
+    # exact and moves other covers' costs by at most n / scale.  The shift
+    # makes weights nonzero (LAPJVsp drops zeros) and, as every full
+    # matching has 2n arcs, keeps the optimum.
+    scale = 2.0 ** math.floor(math.log2(2.0**48 / (n * (1.0 + np.abs(weights).max()))))
+    weights = np.rint(weights * scale)
+    weights += 1.0 - weights.min()
+    matrix = coo_matrix((weights, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    try:
+        _, col_ind = min_weight_full_bipartite_matching(matrix)
+    except ValueError:
+        raise InfeasibleCoverError(g.must_cover_ids) from None
 
-def _solve_free(g: FlowGraph, sg: SplitGraph, use_potentials: bool) -> FlowResult:
-    res = _Residual(sg.vertex_count)
-    split_arc_idx: dict[int, int] = {}
-    for u, v, cost, node_id in sg.split_arcs:
-        split_arc_idx[node_id] = res.add(u, v, 1.0, cost)
-    edge_arc_idx = [res.add(u, v, 1.0, cost) for u, v, cost in sg.edge_arcs]
-    ssp = _Ssp(res, 0, use_potentials)
-    total = 0.0
-    while True:
-        cost, parent = ssp.shortest(1)
-        if cost is None or cost >= 0.0:
-            break
-        ssp.augment(1, parent)
-        total += cost
-    paths = _extract_paths(g, sg, res, split_arc_idx, edge_arc_idx, {})
-    return FlowResult(paths=paths, total_cost=total)
-
-
-def _solve_cover_all(g: FlowGraph, sg: SplitGraph, use_potentials: bool) -> FlowResult:
-    n_vertices = sg.vertex_count
-    ss, tt = n_vertices, n_vertices + 1
-    res = _Residual(n_vertices + 2)
-    base_cost = 0.0
-    imbalance = [0.0] * n_vertices
-
-    # Split arcs: pin must_cover nodes at flow 1 (no residual in either
-    # direction); pre-saturate remaining negative-cost arcs.
-    split_arc_idx: dict[int, int] = {}
-    pinned: set[int] = set()
-    for u, v, cost, node_id in sg.split_arcs:
-        if g.is_must_cover(node_id):
-            base_cost += cost
-            imbalance[v] += 1.0
-            imbalance[u] -= 1.0
-            pinned.add(node_id)
-            continue
-        arc = res.add(u, v, 1.0, cost)
-        split_arc_idx[node_id] = arc
-        if cost < 0.0:
-            res.push(arc, 1.0)
-            base_cost += cost
-            imbalance[v] += 1.0
-            imbalance[u] -= 1.0
-    edge_arc_idx = []
-    for u, v, cost in sg.edge_arcs:
-        arc = res.add(u, v, 1.0, cost)
-        edge_arc_idx.append(arc)
-        if cost < 0.0:
-            res.push(arc, 1.0)
-            base_cost += cost
-            imbalance[v] += 1.0
-            imbalance[u] -= 1.0
-
-    # Circulation arc: lets covered chains hand flow back to the source.
-    res.add(1, 0, float(len(sg.node_order) + len(sg.edge_arcs) + 1), 0.0)
-
-    # Super terminals: tagged arcs for must_cover pins so infeasibility
-    # can name its nodes; aggregated arcs for saturation imbalances.
-    cover_arcs: dict[int, tuple[int, int]] = {}
-    for node_id in sorted(pinned):
-        a_out = res.add(ss, sg.vout(node_id), 1.0, 0.0)
-        a_in = res.add(sg.vin(node_id), tt, 1.0, 0.0)
-        cover_arcs[node_id] = (a_out, a_in)
-        imbalance[sg.vout(node_id)] -= 1.0
-        imbalance[sg.vin(node_id)] += 1.0
-    supply = float(len(pinned))
-    for v in range(n_vertices):
-        if imbalance[v] > 0:
-            res.add(ss, v, imbalance[v], 0.0)
-            supply += imbalance[v]
-        elif imbalance[v] < 0:
-            res.add(v, tt, -imbalance[v], 0.0)
-
-    ssp = _Ssp(res, ss, use_potentials)
-    pushed = 0.0
-    repair_cost = 0.0
-    while pushed < supply:
-        cost, parent = ssp.shortest(tt)
-        if cost is None:
-            break
-        amount = ssp.augment(tt, parent, supply - pushed)
-        pushed += amount
-        repair_cost += cost * amount
-    if pushed < supply - 1e-9:
-        bad = [
-            node_id
-            for node_id, (a_out, a_in) in cover_arcs.items()
-            if res.cap[a_out] > 0 or res.cap[a_in] > 0
-        ]
-        raise InfeasibleCoverError(bad if bad else g.must_cover_ids)
-
-    paths = _extract_paths(g, sg, res, split_arc_idx, edge_arc_idx, pinned)
-    return FlowResult(paths=paths, total_cost=base_cost + repair_cost)
-
-
-def _extract_paths(
-    g: FlowGraph,
-    sg: SplitGraph,
-    res: _Residual,
-    split_arc_idx: dict[int, int],
-    edge_arc_idx: list[int],
-    pinned: set[int],
-) -> list[list[int]]:
-    """Decompose the final flow into node-disjoint source->sink paths."""
-    node_flow: dict[int, float] = {n: 1.0 for n in pinned}
-    for node_id, arc in split_arc_idx.items():
-        node_flow[node_id] = res.flow_on(arc, 1.0)
-    succ_of_vout: dict[int, list[int]] = {}
-    starts: list[int] = []
-    vin_to_node = {sg.vin(n): n for n in sg.node_order}
-    for (u, v, _cost), arc in zip(sg.edge_arcs, edge_arc_idx):
-        if res.flow_on(arc, 1.0) < 0.5:
-            continue
-        dst_node = vin_to_node.get(v, SINK if v == 1 else None)
-        if u == 0:
-            starts.append(dst_node)
-        else:
-            succ_of_vout.setdefault(u, []).append(dst_node)
-    paths = []
-    for first in sorted(starts):
-        path = []
-        node = first
-        while node != SINK:
-            if node_flow.get(node, 0.0) < 0.5:
-                raise FlowGraphError("internal error: path enters an unflowed node")
-            path.append(node)
-            nexts = succ_of_vout.get(sg.vout(node), [])
-            if not nexts:
-                raise FlowGraphError("internal error: flow path does not reach the sink")
-            node = nexts.pop(0)
+    match = col_ind.tolist()  # column of row r, rows in order
+    paths: list[list[int]] = []
+    for start in range(n):
+        if match[n + start] != start:
+            continue  # e_start fills an exit slot: start has a predecessor or is unused
+        k, path = start, [order[start]]
+        while match[k] < n:  # out_k -> in_j with j != k, as k is used: a link
+            k = match[k]
+            path.append(order[k])
         paths.append(path)
-    return paths
+    terms = [entry[p[0]] for p in paths] + [exit_[p[-1]] for p in paths]
+    terms += [links[step] for p in paths for step in zip(p, p[1:])]
+    terms += [g.node_cost(node) for p in paths for node in p]
+    return FlowResult(paths=paths, total_cost=math.fsum(terms))

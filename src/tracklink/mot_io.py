@@ -9,6 +9,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,18 @@ def _parse_row(line: str, lineno: int, path: str, min_cols: int) -> list[float]:
             f"{path}:{lineno}: expected at least {min_cols} comma-separated values"
         )
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"{path}:{lineno}: non-finite value")
+    return vals
+
+
+def _integral(value: float, name: str, lineno: int, path) -> int:
+    if value != int(value):
+        raise ParseError(f"{path}:{lineno}: {name} must be an integer, got {value}")
+    return int(value)
 
 
 def load_detections(
@@ -62,8 +72,8 @@ def load_detections(
             if not line or line.startswith("#"):
                 continue
             vals = _parse_row(line, lineno, str(path), 7)
-            frame = int(vals[0])
-            ident = int(vals[1])
+            frame = _integral(vals[0], "frame", lineno, path)
+            ident = _integral(vals[1], "id", lineno, path)
             x, y, w, h = vals[2:6]
             score = vals[6]
             if frame < 1:
@@ -111,7 +121,8 @@ def _load_sidecar(
             if not line or line.startswith("#"):
                 continue
             vals = _parse_row(line, lineno, str(path), 3)
-            frame, idx = int(vals[0]), int(vals[1])
+            frame = _integral(vals[0], "frame", lineno, path)
+            idx = _integral(vals[1], "index", lineno, path)
             vec = np.asarray(vals[2:], dtype=float)
             if feature_dim is None:
                 feature_dim = vec.size
@@ -139,7 +150,8 @@ def load_ground_truth(path: str | Path) -> dict[int, list[tuple[int, Box]]]:
             if not line or line.startswith("#"):
                 continue
             vals = _parse_row(line, lineno, str(path), 6)
-            frame, ident = int(vals[0]), int(vals[1])
+            frame = _integral(vals[0], "frame", lineno, path)
+            ident = _integral(vals[1], "id", lineno, path)
             x, y, w, h = vals[2:6]
             if ident < 1:
                 raise ParseError(f"{path}:{lineno}: ground-truth id must be >= 1, got {ident}")

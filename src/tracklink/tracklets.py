@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from tracklink.flow import SINK, SOURCE, FlowGraph
+from tracklink.flow import SINK, SOURCE, FlowGraph, _closure
 from tracklink.model import Detection, RunConfig, Tracklet
 
 
@@ -158,15 +158,3 @@ def build_generation_graph(detections: dict[int, list[Detection]], cfg: RunConfi
         if i in keep and j in keep:
             g.add_edge(i, j, 0.0)
     return g
-
-
-def _closure(seeds: set[int], adjacency: dict[int, list[int]]) -> set[int]:
-    out = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for v in adjacency.get(u, []):
-            if v not in out:
-                out.add(v)
-                stack.append(v)
-    return out

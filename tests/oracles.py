@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately share no code with the production solvers: the flow
-oracle enumerates node-disjoint path covers by exponential subset DP,
-the grid oracle scans unit directions.
+oracles enumerate node-disjoint path covers by exponential subset DP or
+solve a dense n x n assignment over link gains, the grid oracle scans
+unit directions.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from tracklink.flow import SINK, SOURCE, FlowGraph
 
@@ -113,6 +115,68 @@ def random_cover_dag(rng, max_nodes=8, dyadic=True):
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if rng.random() < 0.4:
             g.add_edge(i, j, cost())
+    return g
+
+
+def assignment_cover_cost(g: FlowGraph) -> float:
+    """Minimum cover_all cost of a DAG whose nodes are all must_cover and
+    all have an entry and an exit edge; polynomial, for large graphs.
+
+    Start from every node on its own path.  Taking link u->v joins two
+    paths and changes the total by ``c_uv - exit_u - entry_v``; a cover
+    is a set of links giving each node at most one successor and one
+    predecessor, so the best cover is a dense n x n assignment over the
+    gains ``min(0, c_uv - exit_u - entry_v)`` (zero means "no link").
+    """
+    nodes = sorted(g.node_ids)
+    assert set(g.must_cover_ids) == set(nodes)
+    index = {n: k for k, n in enumerate(nodes)}
+    entry, exit_ = {}, {}
+    gain = np.zeros((len(nodes), len(nodes)))
+    links = []
+    for u, v, cost in g.edges:
+        if u == SOURCE:
+            entry[v] = min(cost, entry.get(v, math.inf))
+        elif v == SINK:
+            exit_[u] = min(cost, exit_.get(u, math.inf))
+        else:
+            links.append((u, v, cost))
+    assert set(entry) == set(nodes) and set(exit_) == set(nodes)
+    for u, v, cost in links:
+        i, j = index[u], index[v]
+        gain[i, j] = min(gain[i, j], cost - exit_[u] - entry[v])
+    rows, cols = linear_sum_assignment(gain)
+    base = math.fsum(g.node_cost(n) + entry[n] + exit_[n] for n in nodes)
+    return base + math.fsum(gain[rows, cols].tolist())
+
+
+def random_tie_dag(rng, n_nodes, entry_cost=-math.log(0.1)):
+    """A frame-ordered must-cover DAG like a motion-only association
+    graph: every node has entry and exit edges and links forward to a few
+    of the next nodes (sometimes twice), with link costs from
+    {0, ln 2, ln 3}, so many covers tie on cost.  Returns the graph and
+    its edges in insertion order."""
+    tie_costs = (0.0, math.log(2.0), math.log(3.0))
+    edges = []
+    for i in range(1, n_nodes + 1):
+        edges.append((SOURCE, i, entry_cost))
+        edges.append((i, SINK, entry_cost))
+        for j in range(i + 1, min(n_nodes, i + 12) + 1):
+            if rng.random() < 0.4:
+                edges.append((i, j, tie_costs[int(rng.integers(3))]))
+                if rng.random() < 0.1:  # a parallel edge; the cheaper copy counts
+                    edges.append((i, j, tie_costs[int(rng.integers(3))]))
+    return build_graph(range(1, n_nodes + 1), edges), edges
+
+
+def build_graph(node_ids, edges) -> FlowGraph:
+    """A graph of zero-cost must_cover nodes with the given edges, added
+    in the given order."""
+    g = FlowGraph()
+    for n in node_ids:
+        g.add_node(n, must_cover=True)
+    for u, v, cost in edges:
+        g.add_edge(u, v, cost)
     return g
 
 

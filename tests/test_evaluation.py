@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tracklink import affinity as aff
+from tracklink import evaluation
 from tracklink.evaluation import evaluate, format_report, learn_weights
 from tracklink.model import RunConfig
 from tracklink.mot_io import result_view
@@ -147,3 +150,28 @@ class TestLearnWeights:
         learned_entries = [t for t in trace if (t[0], t[1]) == (l1, l2)]
         assert learned_entries
         assert learned_entries[-1][2] >= mota_zero
+
+    def test_sweep_without_flagged_rows_solves_once(self, monkeypatch):
+        state, gt, cfg = self._setup(1)
+        tables = [
+            replace(t, rows=tuple(replace(r, flagged=False) for r in t.rows))
+            for t in state.tables
+        ]
+        real_associate = evaluation.associate
+        calls = []
+
+        def counting_associate(*args):
+            calls.append(args)
+            return real_associate(*args)
+
+        monkeypatch.setattr(evaluation, "associate", counting_associate)
+        trace = []
+        learned = learn_weights(state.reliable_tracklets, gt, cfg, tables, trace=trace)
+        assert len(calls) == 1
+        refit = [aff.refit_lambdas(t, cfg) for t in tables]
+        report = evaluate(result_view(real_associate(state.reliable_tracklets, refit, cfg)), gt)
+        sweep = [round(0.1 * k, 1) for k in range(11)]
+        assert learned == (0.0, 0.0)
+        assert trace == [(v, 0.0, report.mota, report.ids) for v in sweep] + [
+            (0.0, v, report.mota, report.ids) for v in sweep
+        ]

@@ -73,6 +73,26 @@ class TestLoadDetections:
         with pytest.raises(ParseError, match="missing feature row"):
             load_detections(det, sidecar_path=feat)
 
+    @pytest.mark.parametrize(
+        "row", ["1,-1,10,10,nan,5,0.9", "1,-1,inf,10,5,5,0.9", "1,-1,10,10,5,5,nan"]
+    )
+    def test_non_finite_value_names_line(self, tmp_path, row):
+        path = write(tmp_path, "d.csv", f"1,-1,30,10,5,5,0.8\n{row}\n")
+        with pytest.raises(ParseError, match=r"d\.csv:2: non-finite"):
+            load_detections(path)
+
+    @pytest.mark.parametrize("row", ["1.7,-1,10,10,5,5,0.9", "1,2.5,10,10,5,5,0.9"])
+    def test_fractional_frame_or_id_names_line(self, tmp_path, row):
+        path = write(tmp_path, "d.csv", f"1,-1,30,10,5,5,0.8\n{row}\n")
+        with pytest.raises(ParseError, match=r"d\.csv:2: (frame|id) must be an integer"):
+            load_detections(path)
+
+    def test_sidecar_fractional_index_names_line(self, tmp_path):
+        det = write(tmp_path, "d.csv", "1,-1,10,10,5,5,0.9\n")
+        feat = write(tmp_path, "f.csv", "1,0.5,1,2,3\n")
+        with pytest.raises(ParseError, match=r"f\.csv:1: index must be an integer"):
+            load_detections(det, sidecar_path=feat)
+
 
 class TestGroundTruth:
     def test_two_ids(self, tmp_path):
@@ -91,6 +111,15 @@ class TestGroundTruth:
     def test_negative_id_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="id must be >= 1"):
             load_ground_truth(write(tmp_path, "g.csv", "1,-1,10,20,5,5,1\n"))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("2.5,1,10,20,5,5,1", "frame must be an integer"), ("2,1,10,20,nan,5,1", "non-finite")],
+    )
+    def test_bad_value_names_line(self, tmp_path, row, message):
+        path = write(tmp_path, "g.csv", f"1,1,10,20,5,5,1\n{row}\n")
+        with pytest.raises(ParseError, match=rf"g\.csv:2: {message}"):
+            load_ground_truth(path)
 
     def test_duplicate_frame_id_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate"):
