@@ -1,44 +1,34 @@
-"""Pairwise tracklet affinities: appearance, limiting constraints,
-difficult-situation flags, weighted fusion and transition costs.
+"""Pairwise tracklet affinities: one scoring rule per ingredient.
 
-All affinities are computed per local segment.  An AffinityTable keeps
-every ingredient per ordered pair so fused scores can be rebuilt cheaply
-under different motion weights (used by the weight-learning sweep).
+The link a -> b scores S = P_m ** lambda * P_a * C.  ``gate`` gives the
+binary limiting constraints C = c_t * c_e, ``appearance_score`` maps a
+pair's appearance distance product to P_a, ``assess_difficult`` flags
+occlusion-difficult tracklets, and ``link_score`` clamps P_m, applies
+the motion weight lambda (1 unless the pair is flagged) and returns
+(lambda, S, -log S).  All affinities are computed per local segment.  An
+AffinityTable keeps every ingredient per ordered pair, so
+``refit_lambdas`` rebuilds a table under other motion weights by
+rescoring only its flagged rows; every other row has lambda = 1 under
+any weights and passes through unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from tracklink.dynamics import NEG_INF, motion_similarity
 from tracklink.metric import ProbeSet, TargetMetric, metric_distance
-from tracklink.model import RunConfig, Tracklet, gap_frames, intersection_area, temporal_overlap
+from tracklink.model import (
+    ExitMap,
+    RunConfig,
+    Tracklet,
+    gap_frames,
+    intersection_area,
+    temporal_overlap,
+)
 
 SCORE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ExitMap:
-    """Static border band where trajectories may legitimately terminate."""
-
-    width: float
-    height: float
-    band: float
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig, width: float, height: float) -> "ExitMap":
-        band = max(1.0, cfg.exit_band_frac * min(width, height))
-        return cls(width=width, height=height, band=band)
-
-    def contains(self, point: tuple[float, float]) -> bool:
-        x, y = point
-        return (
-            x < self.band
-            or y < self.band
-            or x > self.width - self.band
-            or y > self.height - self.band
-        )
 
 
 @dataclass(frozen=True)
@@ -65,31 +55,21 @@ class AffinityTable:
     gamma: float
 
 
-def limiting(a: Tracklet, b: Tracklet, exit_map: ExitMap | None) -> int:
-    """Binary gate for the link b -> a (a is the later tracklet): 1 iff
-    the spans do not overlap, a starts after b ends, and b did not end
-    inside the exit band."""
+def gate(a: Tracklet, b: Tracklet, exit_map: ExitMap | None) -> tuple[int, int]:
+    """Limiting constraints (c_t, c_e) of the link a -> b: c_t is 0 when
+    the frame spans overlap; c_e is 0 when b does not start after a ends
+    or when a ended inside the exit band (it left the scene and cannot
+    continue as b)."""
     c_t = 0 if temporal_overlap(a, b) else 1
-    c_e = 1
-    if a.start <= b.end:
-        c_e = 0
-    elif exit_map is not None and exit_map.contains(b.detections[-1].center):
-        c_e = 0
-    return c_t * c_e
+    exited = exit_map is not None and exit_map.exited(a)
+    c_e = 0 if b.start <= a.end or exited else 1
+    return c_t, c_e
 
 
-def appearance_affinity(
-    a: Tracklet,
-    b: Tracklet,
-    metrics: dict[int, TargetMetric],
-    probes: ProbeSet,
-    gamma: float = 1.0,
-) -> float:
-    """gamma / (d_ab * d_ba) with the mean relative distances taken under
-    each tracklet's own metric against the other's probe; a zero product
-    (indistinguishable appearance) caps at 1."""
-    product = appearance_distance_product(a, b, metrics, probes)
-    if product <= 0.0:
+def appearance_score(product: float | None, gamma: float) -> float:
+    """P_a = gamma / (d_ab * d_ba) capped at 1; a missing product (no
+    appearance cue) or a zero one (indistinguishable appearance) gives 1."""
+    if product is None or product <= 0.0:
         return 1.0
     return min(1.0, gamma / product)
 
@@ -155,6 +135,26 @@ def motion_weight(flagged: bool, gap: int, cfg: RunConfig) -> float:
     return cfg.lambda2
 
 
+def link_score(
+    p_m: float,
+    p_a: float,
+    c: int,
+    flagged: bool,
+    gap: int,
+    cfg: RunConfig,
+) -> tuple[float, float, float]:
+    """The one scoring rule: (lambda, S, -log S) of a link.  S is
+    (P_m ** lambda) * P_a * C with P_m clamped to [0, 1] and 0^0 = 1; it
+    is zero on temporal conflict (P_m = -inf) or a closed gate."""
+    lam = motion_weight(flagged, gap, cfg)
+    if c == 0 or p_m == NEG_INF:
+        score = 0.0
+    else:
+        powered = 1.0 if lam == 0.0 else max(0.0, min(1.0, p_m)) ** lam
+        score = powered * p_a
+    return lam, score, transition_cost(score)
+
+
 def fused_score(
     p_m: float,
     p_a: float,
@@ -163,16 +163,8 @@ def fused_score(
     gap: int,
     cfg: RunConfig,
 ) -> float:
-    """Weighted affinity (P_m ** lambda) * P_a * C with 0^0 = 1; zero on
-    temporal conflict or a closed limiting gate."""
-    if c == 0 or p_m == NEG_INF:
-        return 0.0
-    lam = motion_weight(flagged, gap, cfg)
-    if lam == 0.0:
-        powered = 1.0
-    else:
-        powered = p_m**lam
-    return powered * p_a
+    """The weighted affinity S alone (see ``link_score``)."""
+    return link_score(p_m, p_a, c, flagged, gap, cfg)[1]
 
 
 def transition_cost(score: float) -> float:
@@ -230,69 +222,39 @@ def build_affinity_table(
 
     gamma normalizes appearance per segment: the smallest admissible
     distance product, so the best pair's P_a is exactly 1 and every P_a
-    lies in (0, 1].  Raw motion similarities below 0 are clamped to 0
-    before fusion (incompatible dynamics).
+    lies in (0, 1].  Appearance is measured only on pairs the gate
+    leaves open.
     """
     staged = []
-    products = []
     for a, b in pairs:
-        c_t = 0 if temporal_overlap(a, b) else 1
-        c_e = 1
-        if b.start <= a.end:
-            c_e = 0
-        elif exit_map is not None and exit_map.contains(a.detections[-1].center):
-            c_e = 0  # a exited the scene; it cannot continue as b
-        p_m = motion_similarity(a, b, cfg.rank_tol)
+        c_t, c_e = gate(a, b, exit_map)
         product = None
         if use_appearance and c_t * c_e == 1:
             product = appearance_distance_product(a, b, metrics, probes)
-            if product > 0.0:
-                products.append(product)
-        staged.append((a, b, c_t, c_e, p_m, product))
-    gamma = min(products) if products else 1.0
+        staged.append((a, b, c_t, c_e, product))
+    gamma = min((p for *_, p in staged if p is not None and p > 0.0), default=1.0)
     rows = []
-    for a, b, c_t, c_e, p_m, product in staged:
-        if not use_appearance or product is None:
-            p_a = 1.0
-        elif product <= 0.0:
-            p_a = 1.0
-        else:
-            p_a = min(1.0, gamma / product)
+    for a, b, c_t, c_e, product in staged:
+        p_m = motion_similarity(a, b, cfg.rank_tol)
+        p_a = appearance_score(product, gamma)
         gap = gap_frames(a, b) if b.start > a.end else 0
         flagged = a.id in flagged_ids or b.id in flagged_ids
-        clamped_pm = p_m if p_m == NEG_INF else max(0.0, min(1.0, p_m))
-        score = fused_score(clamped_pm, p_a, c_t * c_e, flagged, gap, cfg)
-        rows.append(
-            AffinityRow(
-                i=a.id,
-                j=b.id,
-                p_m=p_m,
-                p_a=p_a,
-                c_t=c_t,
-                c_e=c_e,
-                flagged=flagged,
-                gap=gap,
-                lam=motion_weight(flagged, gap, cfg),
-                score=score,
-                cost=transition_cost(score),
-            )
-        )
+        scored = link_score(p_m, p_a, c_t * c_e, flagged, gap, cfg)
+        rows.append(AffinityRow(a.id, b.id, p_m, p_a, c_t, c_e, flagged, gap, *scored))
     return AffinityTable(segment_index=segment_index, rows=tuple(rows), gamma=gamma)
 
 
 def refit_lambdas(table: AffinityTable, cfg: RunConfig) -> AffinityTable:
-    """Rebuild fused scores and costs of a table under new motion
-    weights; every other ingredient is reused unchanged."""
-    rows = []
-    for row in table.rows:
-        p_m = row.p_m if row.p_m == NEG_INF else max(0.0, min(1.0, row.p_m))
-        score = fused_score(p_m, row.p_a, row.c_t * row.c_e, row.flagged, row.gap, cfg)
-        rows.append(
-            replace(
-                row,
-                lam=motion_weight(row.flagged, row.gap, cfg),
-                score=score,
-                cost=transition_cost(score),
-            )
+    """The table under new motion weights: flagged rows are rescored from
+    their stored ingredients; every other row has lambda = 1 under any
+    weights and is passed through unchanged."""
+    rows = tuple(
+        AffinityRow(
+            r.i, r.j, r.p_m, r.p_a, r.c_t, r.c_e, r.flagged, r.gap,
+            *link_score(r.p_m, r.p_a, r.c_t * r.c_e, r.flagged, r.gap, cfg),
         )
-    return AffinityTable(segment_index=table.segment_index, rows=tuple(rows), gamma=table.gamma)
+        if r.flagged
+        else r
+        for r in table.rows
+    )
+    return AffinityTable(segment_index=table.segment_index, rows=rows, gamma=table.gamma)

@@ -21,7 +21,7 @@ from tracklink.metric import (
     learn_segment_metrics,
     refine_tracklets,
 )
-from tracklink.model import Box, Detection, RunConfig, Tracklet, Trajectory
+from tracklink.model import Box, Detection, ExitMap, RunConfig, Tracklet, Trajectory
 from tracklink.tracklets import generate_initial_tracklets
 
 
@@ -120,7 +120,7 @@ class TrackingResult:
     reliable_tracklets: list[Tracklet]
     tables: list[aff.AffinityTable]
     flagged_ids: set[int]
-    exit_map: aff.ExitMap | None
+    exit_map: ExitMap | None
     segments: list[tuple[int, int]]
     metrics: dict = field(default_factory=dict)
     probes: ProbeSet | None = None
@@ -151,7 +151,7 @@ def prepare_reliable_tracklets(
     refinement, difficult-pair assessment and affinity tables."""
     has_features = _has_features(detections)
     width, height = infer_frame_size(detections, cfg)
-    exit_map = aff.ExitMap.from_config(cfg, width, height) if width and height else None
+    exit_map = ExitMap.from_config(cfg, width, height) if width and height else None
     n_frames = max(detections) if detections else 0
     segments = partition_segments(n_frames, cfg)
 
@@ -161,66 +161,46 @@ def prepare_reliable_tracklets(
         per_segment[segment_index_of(t, cfg)].append(t)
 
     next_id = max((t.id for t in initial), default=0) + 1
-    reliable: list[Tracklet] = []
-    seg_metrics: dict[int, dict] = {}
-    seg_probes: dict[int, ProbeSet] = {}
-    reliable_per_segment: dict[int, list[Tracklet]] = {}
+    # tracklet ids are unique across segments, so one metric map and one
+    # probe map serve every segment's table
+    metrics: dict = {}
+    probes: dict = {}
+    reliable_per_segment: list[list[Tracklet]] = []
     for k in range(len(segments)):
-        seg_tracklets = per_segment[k]
-        if not seg_tracklets:
-            reliable_per_segment[k] = []
-            continue
-        if has_features:
-            metrics, _ = learn_segment_metrics(seg_tracklets, "initial", cfg, exit_map)
-            probes = build_probe_set(seg_tracklets, cfg)
-            refined = refine_tracklets(
-                seg_tracklets, metrics, probes, cfg, exit_map=exit_map, next_id=next_id
-            )
+        refined = per_segment[k]
+        if refined and has_features:
+            refined = refine_tracklets(refined, cfg, exit_map=exit_map, next_id=next_id)
             next_id = max([next_id] + [t.id + 1 for t in refined])
             # second-step update on the reliable tracklets, executed once
-            metrics, _ = learn_segment_metrics(refined, "reliable", cfg, exit_map)
-            probes = build_probe_set(refined, cfg)
-        else:
-            refined = seg_tracklets
-            metrics, probes = {}, ProbeSet(probes={})
-        reliable_per_segment[k] = refined
-        seg_metrics[k] = metrics
-        seg_probes[k] = probes
-        reliable.extend(refined)
+            metrics.update(learn_segment_metrics(refined, "reliable", cfg, exit_map)[0])
+            probes.update(build_probe_set(refined, cfg).probes)
+        reliable_per_segment.append(refined)
+    reliable = [t for seg in reliable_per_segment for t in seg]
+    probe_set = ProbeSet(probes=probes)
 
     flagged_ids = aff.assess_difficult(reliable, cfg)
     tables = []
     for k, window in enumerate(segments):
-        seg_tracklets = reliable_per_segment.get(k, [])
+        seg_tracklets = reliable_per_segment[k]
         if not seg_tracklets:
             continue
         next_window = segments[k + 1] if k + 1 < len(segments) else None
-        next_tracklets = reliable_per_segment.get(k + 1, [])
+        next_tracklets = reliable_per_segment[k + 1] if next_window else []
         pairs = aff.candidate_pairs(seg_tracklets, next_tracklets, window, next_window, cfg)
         if not pairs:
             continue
-        merged_metrics = dict(seg_metrics.get(k, {}))
-        merged_metrics.update(seg_metrics.get(k + 1, {}))
-        merged_probes = dict(seg_probes[k].probes) if k in seg_probes else {}
-        if k + 1 in seg_probes:
-            merged_probes.update(seg_probes[k + 1].probes)
         tables.append(
             aff.build_affinity_table(
                 k,
                 pairs,
-                merged_metrics,
-                ProbeSet(probes=merged_probes),
+                metrics,
+                probe_set,
                 flagged_ids,
                 cfg,
                 exit_map,
                 use_appearance=use_appearance and has_features,
             )
         )
-    all_metrics: dict = {}
-    all_probes: dict = {}
-    for k in seg_metrics:
-        all_metrics.update(seg_metrics[k])
-        all_probes.update(seg_probes[k].probes)
     return TrackingResult(
         trajectories=[],
         reliable_tracklets=reliable,
@@ -228,8 +208,8 @@ def prepare_reliable_tracklets(
         flagged_ids=flagged_ids,
         exit_map=exit_map,
         segments=segments,
-        metrics=all_metrics,
-        probes=ProbeSet(probes=all_probes),
+        metrics=metrics,
+        probes=probe_set,
     )
 
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tracklink.model import Tracklet, temporal_overlap
 
@@ -61,12 +62,9 @@ def build_hankel(seq: DynamicSequence) -> HankelMatrix:
         raise ValueError(f"need at least 3 positions for a Hankel window, got {length}")
     n = hankel_columns(length)
     block_rows = length - n + 1
-    mat = np.empty((2 * block_rows, n))
-    for i in range(block_rows):
-        for j in range(n):
-            x, y = seq.positions[i + j]
-            mat[2 * i, j] = x
-            mat[2 * i + 1, j] = y
+    # windows[i, c, j] = positions[i + j][c]; rows 2i and 2i+1 are block i
+    windows = sliding_window_view(np.asarray(seq.positions, dtype=float), n, axis=0)
+    mat = np.ascontiguousarray(windows.reshape(2 * block_rows, n))
     return HankelMatrix(matrix=mat, columns=n, block_rows=block_rows)
 
 

@@ -188,10 +188,12 @@ def learn_weights(
     improves MOTA, or matches MOTA with strictly fewer id switches; ties
     keep the smaller weight.  Returns (lambda1, lambda2).
 
-    The association graph depends on the weights only through each row's
-    ``(i, j, score, cost)``; a point whose refit rows repeat an earlier
-    point's reuses that point's report (with no flagged row, every point
-    does)."""
+    Each point rescores the tables with ``refit_lambdas``, which touches
+    only flagged rows: an unflagged row has lambda = 1 at every point.
+    The association graph therefore changes from point to point only
+    through the flagged rows' ``(i, j, score, cost)``, and a point whose
+    flagged rows repeat an earlier point's reuses that point's report
+    (with no flagged row, every point does)."""
     if not ground_truth:
         raise ValueError("weight learning needs labeled ground truth")
     reports: dict[tuple, MetricReport] = {}
@@ -199,7 +201,7 @@ def learn_weights(
     def run(lambda1: float, lambda2: float) -> MetricReport:
         candidate_cfg = _with_lambdas(cfg, lambda1, lambda2)
         refit = [aff.refit_lambdas(tbl, candidate_cfg) for tbl in tables]
-        key = tuple((r.i, r.j, r.score, r.cost) for tbl in refit for r in tbl.rows)
+        key = tuple((r.i, r.j, r.score, r.cost) for t in refit for r in t.rows if r.flagged)
         report = reports.get(key)
         if report is None:
             trajectories = associate(reliable_tracklets, refit, candidate_cfg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tracklink.model import Detection, RunConfig, Tracklet, temporal_overlap
+from tracklink.model import Detection, ExitMap, RunConfig, Tracklet
 
 _COLUMN_TOL = 1e-4  # relative improvement below this stops columns/steps
 _ARMIJO_C = 1e-4
@@ -81,16 +81,12 @@ def _strongest_samples(t: Tracklet, phase: str, cfg: RunConfig) -> list[Detectio
     return pool[: cfg.strongest_q]
 
 
-def _in_exit_band(det: Detection, exit_map) -> bool:
-    return exit_map is not None and exit_map.contains(det.center)
-
-
 def collect_pairs(
     target: Tracklet,
     others: list[Tracklet],
     phase: str,
     cfg: RunConfig,
-    exit_map=None,
+    exit_map: ExitMap | None = None,
 ) -> PairSet:
     """Build the training difference vectors for one target tracklet.
 
@@ -125,12 +121,12 @@ def collect_pairs(
     )
 
 
-def _negative_source_admissible(target: Tracklet, other: Tracklet, exit_map) -> bool:
-    if temporal_overlap(target, other):
-        return True
-    if other.end < target.start:
+def _negative_source_admissible(
+    target: Tracklet, other: Tracklet, exit_map: ExitMap | None
+) -> bool:
+    if other.end < target.start and exit_map is not None:
         # exited before the target started -> irrelevant for learning
-        return not _in_exit_band(other.detections[-1], exit_map)
+        return not exit_map.exited(other)
     return True
 
 
@@ -328,7 +324,7 @@ def learn_segment_metrics(
     tracklets: list[Tracklet],
     phase: str,
     cfg: RunConfig,
-    exit_map=None,
+    exit_map: ExitMap | None = None,
 ) -> tuple[dict[int, TargetMetric], dict[int, PairSet]]:
     """Learn one metric per tracklet of a segment, falling back to the
     identity metric when a tracklet has no admissible pairs."""
@@ -381,47 +377,29 @@ def _first_split_frame(
 
 def refine_tracklets(
     tracklets: list[Tracklet],
-    metrics: dict[int, TargetMetric],
-    probes: ProbeSet,
     cfg: RunConfig,
-    exit_map=None,
+    exit_map: ExitMap | None = None,
     next_id: int | None = None,
 ) -> list[Tracklet]:
-    """Split appearance-inconsistent tracklets, iterating up to
-    cfg.refine_iters passes and re-learning metrics and probes between
-    passes.  Split parts shorter than 2 frames are dropped; splitting
+    """Split appearance-inconsistent tracklets in up to cfg.refine_iters
+    passes; each pass learns initial-phase metrics and probes on the
+    current tracklets and takes its split threshold from the same
+    pairsets.  Split parts shorter than 2 frames are dropped; splitting
     never merges tracklets or adds detections.
     """
     current = list(tracklets)
     if next_id is None:
         next_id = max((t.id for t in current), default=0) + 1
-    cur_metrics, cur_probes = metrics, probes
-    pairsets: dict[int, PairSet] | None = None
-    for iteration in range(cfg.refine_iters):
-        if iteration > 0 or cur_metrics is None:
-            cur_metrics, pairsets = learn_segment_metrics(current, "initial", cfg, exit_map)
-            cur_probes = build_probe_set(current, cfg)
+    for _ in range(cfg.refine_iters):
+        metrics, pairsets = learn_segment_metrics(current, "initial", cfg, exit_map)
+        probes = build_probe_set(current, cfg)
         omega = cfg.distance_threshold
         if omega is None:
-            if pairsets is None:
-                pairsets = {
-                    t.id: collect_pairs(t, current, "initial", cfg, exit_map)
-                    for t in current
-                }
-                pairsets = {
-                    tid: p for tid, p in pairsets.items()
-                    if len(p.positives) and len(p.negatives)
-                }
-            omega = split_threshold(cur_metrics, pairsets)
+            omega = split_threshold(metrics, pairsets)
         refined: list[Tracklet] = []
         changed = False
         for t in current:
-            if t.id not in cur_metrics or t.id not in cur_probes:
-                refined.append(t)
-                continue
-            split_at = _first_split_frame(
-                t, cur_metrics[t.id], cur_probes[t.id], omega, cfg.split_run
-            )
+            split_at = _first_split_frame(t, metrics[t.id], probes[t.id], omega, cfg.split_run)
             if split_at is None or split_at <= t.start:
                 refined.append(t)
                 continue
@@ -434,7 +412,6 @@ def refine_tracklets(
                 refined.append(Tracklet(id=next_id, detections=tail))
                 next_id += 1
         current = refined
-        pairsets = None
         if not changed:
             break
     return current

@@ -153,6 +153,31 @@ class RunConfig:
             raise ValueError("det_threshold must lie strictly between 0 and 1")
 
 
+@dataclass(frozen=True)
+class ExitMap:
+    """Static border band where trajectories may legitimately terminate."""
+
+    width: float
+    height: float
+    band: float
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig, width: float, height: float) -> "ExitMap":
+        band = max(1.0, cfg.exit_band_frac * min(width, height))
+        return cls(width=width, height=height, band=band)
+
+    def exited(self, t: Tracklet) -> bool:
+        """True iff t's last box center lies inside the border band, i.e.
+        t left the scene and nothing later can continue it."""
+        x, y = t.detections[-1].center
+        return (
+            x < self.band
+            or y < self.band
+            or x > self.width - self.band
+            or y > self.height - self.band
+        )
+
+
 def temporal_overlap(a: Tracklet, b: Tracklet) -> bool:
     """True iff the frame spans of the two tracklets intersect."""
     return a.start <= b.end and b.start <= a.end

@@ -49,12 +49,19 @@ def _integral(value: float, name: str, lineno: int, path) -> int:
     return int(value)
 
 
+def _det_order(frame: int, box: Box, score: float) -> tuple:
+    """Total order of the detections in a file: a detection's sidecar
+    index is its position inside its frame under this order."""
+    return (frame, *box, score)
+
+
 def load_detections(
     path: str | Path,
     sidecar_path: str | Path | None = None,
     feature_dim: int | None = None,
 ) -> dict[int, list[Detection]]:
-    """Load raw detections grouped by frame, sorted by (frame, x, y).
+    """Load raw detections grouped by frame, sorted by
+    (frame, x, y, w, h, score).
 
     Rows are (frame, id, x, y, w, h, score); extra columns are ignored.
     An id >= 1 is kept as ``id_hint`` (synthetic/labeled files); -1 marks
@@ -85,7 +92,7 @@ def load_detections(
                     f"{path}:{lineno}: detection score must lie in (0, 1), got {score}"
                 )
             raw.append((frame, ident if ident >= 1 else None, (x, y, w, h), score))
-    raw.sort(key=lambda r: (r[0], r[2][0], r[2][1]))
+    raw.sort(key=lambda r: _det_order(r[0], r[2], r[3]))
     features = _load_sidecar(sidecar_path, feature_dim) if sidecar_path else None
     by_frame: dict[int, list[Detection]] = {}
     for frame, ident, box, score in raw:
@@ -190,18 +197,22 @@ def write_detections(
     det_path: str | Path,
     sidecar_path: str | Path | None = None,
 ):
-    """Inverse of load_detections, used by the synthetic generator."""
+    """Inverse of load_detections, used by the synthetic generator.  Rows
+    are ordered by the values as written, so the reader finds every
+    feature row at its detection's index."""
     det_path = Path(det_path)
     feat_rows = []
     with open(det_path, "w", encoding="utf-8", newline="\n") as fh:
         for frame in sorted(detections):
-            group = sorted(detections[frame], key=lambda d: (d.box[0], d.box[1]))
-            for idx, det in enumerate(group):
+            written = []
+            for det in detections[frame]:
+                vals = [_fmt(v) for v in (*det.box, det.score)]
+                *box, score = map(float, vals)
+                written.append((_det_order(frame, tuple(box), score), vals, det))
+            written.sort(key=lambda r: r[0])
+            for idx, (_, vals, det) in enumerate(written):
                 ident = det.id_hint if det.id_hint is not None else -1
-                x, y, w, h = det.box
-                fh.write(
-                    f"{frame},{ident},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},{_fmt(det.score)}\n"
-                )
+                fh.write(f"{frame},{ident},{','.join(vals)}\n")
                 if det.feature is not None:
                     feat_rows.append((frame, idx, det.feature))
     if sidecar_path is not None:

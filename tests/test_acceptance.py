@@ -11,13 +11,7 @@ from tracklink.association import prepare_reliable_tracklets, track_sequence
 from tracklink.dynamics import DynamicSequence, build_hankel, estimate_rank, motion_similarity
 from tracklink.evaluation import evaluate, learn_weights
 from tracklink.flow import solve_paths
-from tracklink.metric import (
-    build_probe_set,
-    collect_pairs,
-    learn_metric,
-    learn_segment_metrics,
-    refine_tracklets,
-)
+from tracklink.metric import collect_pairs, learn_metric, refine_tracklets
 from tracklink.model import RunConfig
 from tracklink.mot_io import load_detections, result_view, write_detections, write_trajectories
 from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
@@ -209,9 +203,7 @@ def test_criterion_4_refinement():
     for sd in range(50):
         rng = np.random.default_rng(2000 + sd)
         t1, t2 = _swap_tracklets(rng, swap_at)
-        metrics, _ = learn_segment_metrics([t1, t2], "initial", cfg)
-        probes = build_probe_set([t1, t2], cfg)
-        out = refine_tracklets([t1, t2], metrics, probes, cfg)
+        out = refine_tracklets([t1, t2], cfg)
         starts = {t.start for t in out} - {1}
         if any(abs(s - swap_at) <= cfg.split_run for s in starts):
             detected += 1
@@ -227,9 +219,7 @@ def test_criterion_4_refinement():
             2, 1, centers=[(50.0 + 2 * i, 120.0) for i in range(30)],
             features=cluster_features(rng, cB, 30),
         )
-        metrics, _ = learn_segment_metrics([t1, t2], "initial", cfg)
-        probes = build_probe_set([t1, t2], cfg)
-        out = refine_tracklets([t1, t2], metrics, probes, cfg)
+        out = refine_tracklets([t1, t2], cfg)
         clean += len(out) == 2 and all(t.length == 30 for t in out)
     ok = detected >= 45 and clean >= 49
     report(4, ok, f"swap detected {detected}/50 (need 45), clean intact {clean}/50 (need 49)")

@@ -6,7 +6,7 @@ import pytest
 from tracklink import affinity as aff
 from tracklink.dynamics import NEG_INF
 from tracklink.metric import ProbeSet, identity_metric, learn_segment_metrics, build_probe_set
-from tracklink.model import RunConfig
+from tracklink.model import ExitMap, RunConfig
 
 from conftest import cluster_features, make_tracklet, two_cluster_centers
 
@@ -18,24 +18,33 @@ def feature_tracklet(tid, start, length, center, rng, y=60.0, x0=50.0, noise=1.0
 
 
 class TestLimiting:
+    """The gate (c_t, c_e) of a link, arguments in link order."""
+
     def setup_method(self):
-        self.exit_map = aff.ExitMap(width=640, height=480, band=24.0)
+        self.exit_map = ExitMap(width=640, height=480, band=24.0)
 
     def test_overlap_gate(self):
-        later = make_tracklet(1, 5, length=10)
         earlier = make_tracklet(2, 1, length=10)
-        assert aff.limiting(later, earlier, self.exit_map) == 0
+        later = make_tracklet(1, 5, length=10)
+        assert aff.gate(earlier, later, self.exit_map) == (0, 0)
 
     def test_exit_band_gate(self):
         earlier = make_tracklet(2, 1, centers=[(5.0, 60.0), (6.0, 60.0)])
         later = make_tracklet(1, 10, length=5)
-        assert self.exit_map.contains(earlier.detections[-1].center)
-        assert aff.limiting(later, earlier, self.exit_map) == 0
+        assert self.exit_map.exited(earlier)
+        assert aff.gate(earlier, later, self.exit_map) == (1, 0)
+        assert aff.gate(earlier, later, None) == (1, 1)
 
     def test_interior_disjoint_passes(self):
         earlier = make_tracklet(2, 1, centers=[(300.0, 200.0), (302.0, 200.0)])
         later = make_tracklet(1, 10, centers=[(310.0, 200.0), (312.0, 200.0)])
-        assert aff.limiting(later, earlier, self.exit_map) == 1
+        assert not self.exit_map.exited(earlier)
+        assert aff.gate(earlier, later, self.exit_map) == (1, 1)
+
+
+def _p_a(a, b, metrics, probes):
+    """P_a of a -> b at gamma = 1."""
+    return aff.appearance_score(aff.appearance_distance_product(a, b, metrics, probes), 1.0)
 
 
 class TestAppearance:
@@ -50,8 +59,8 @@ class TestAppearance:
             tracklets = [a, b, third]
             metrics, _ = learn_segment_metrics(tracklets, "reliable", RunConfig())
             probes = build_probe_set(tracklets, RunConfig())
-            same = aff.appearance_affinity(a, b, metrics, probes)
-            cross = aff.appearance_affinity(a, third, metrics, probes)
+            same = _p_a(a, b, metrics, probes)
+            cross = _p_a(a, third, metrics, probes)
             wins += same > cross
         assert wins >= 38  # >= 95% of seeds
 
@@ -62,7 +71,13 @@ class TestAppearance:
         b = make_tracklet(2, 10, centers=[(80 + i, 60) for i in range(6)], features=feats)
         metrics = {1: identity_metric(1, cA.size), 2: identity_metric(2, cA.size)}
         probes = ProbeSet(probes={1: cA.copy(), 2: cA.copy()})
-        assert aff.appearance_affinity(a, b, metrics, probes) == 1.0
+        assert aff.appearance_distance_product(a, b, metrics, probes) == 0.0
+        assert _p_a(a, b, metrics, probes) == 1.0
+
+    def test_missing_product_and_cap(self):
+        assert aff.appearance_score(None, 0.5) == 1.0
+        assert aff.appearance_score(2.0, 0.5) == 0.25
+        assert aff.appearance_score(0.25, 0.5) == 1.0
 
     def test_missing_metric_error(self, rng):
         cA, _ = two_cluster_centers(rng)
@@ -185,7 +200,7 @@ class TestTableAssembly:
         exiting = feature_tracklet(1, 1, 6, cA, rng, x0=3.0, y=4.0)
         later = feature_tracklet(2, 10, 6, cA, rng, x0=300.0, y=200.0)
         cfg = RunConfig()
-        exit_map = aff.ExitMap(width=640, height=480, band=24.0)
+        exit_map = ExitMap(width=640, height=480, band=24.0)
         metrics = {1: identity_metric(1, cA.size), 2: identity_metric(2, cA.size)}
         probes = build_probe_set([exiting, later], cfg)
         pairs = aff.candidate_pairs([exiting, later], [], (1, 50), None, cfg)
@@ -213,3 +228,45 @@ class TestTableAssembly:
             if old.gap >= 1:
                 expected_lam = 0.1 if old.gap <= cfg2.gap_bound else 0.9
                 assert new.lam == expected_lam
+
+    def _flagged_segment(self, rng):
+        """A segment builder whose rows cover a flagged short gap, a flagged
+        gap beyond gap_bound and an unflagged row."""
+        cA, cB = two_cluster_centers(rng)
+        tracklets = [
+            feature_tracklet(1, 1, 10, cA, rng),
+            feature_tracklet(2, 14, 10, cA, rng, x0=80.0),
+            feature_tracklet(3, 14, 10, cB, rng, y=220.0),
+            feature_tracklet(4, 40, 8, cB, rng, y=300.0),
+        ]
+        metrics, _ = learn_segment_metrics(tracklets, "reliable", RunConfig())
+        probes = build_probe_set(tracklets, RunConfig())
+        pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, RunConfig())
+
+        def build(cfg):
+            return aff.build_affinity_table(0, pairs, metrics, probes, {2, 4}, cfg, None)
+
+        return build
+
+    @pytest.mark.parametrize(
+        "lambdas", [(0.0, 0.0), (0.1, 0.9), (0.5, 0.2), (0.7, 1.0), (1.0, 1.0)]
+    )
+    def test_refit_equals_fresh_build(self, rng, lambdas):
+        build = self._flagged_segment(rng)
+        cfg_a = RunConfig(lambda1=0.3, lambda2=0.6)
+        cfg_b = RunConfig(lambda1=lambdas[0], lambda2=lambdas[1])
+        table_a = build(cfg_a)
+        flagged = [r for r in table_a.rows if r.flagged and r.gap >= 1]
+        assert {r.gap <= cfg_a.gap_bound for r in flagged} == {True, False}
+        assert any(not r.flagged for r in table_a.rows)
+        assert aff.refit_lambdas(table_a, cfg_b).rows == build(cfg_b).rows
+
+    def test_unflagged_row_same_under_every_cfg(self, rng):
+        build = self._flagged_segment(rng)
+        table = build(RunConfig())
+        unflagged = [r for r in table.rows if not r.flagged]
+        assert unflagged and all(r.lam == 1.0 for r in unflagged)
+        for l1, l2 in [(0.0, 0.0), (0.2, 0.8), (1.0, 0.5)]:
+            cfg = RunConfig(lambda1=l1, lambda2=l2)
+            for rows in (aff.refit_lambdas(table, cfg).rows, build(cfg).rows):
+                assert [r for r in rows if not r.flagged] == unflagged

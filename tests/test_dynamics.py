@@ -50,12 +50,22 @@ class TestHankelShape:
         assert np.all(h.matrix == h.matrix[:, :1])
 
     def test_anti_diagonal_block_structure(self):
-        pts = line_points(9)
-        h = build_hankel(seq(pts))
-        for i in range(h.block_rows):
-            for j in range(h.columns):
-                assert h.matrix[2 * i, j] == pts[i + j][0]
-                assert h.matrix[2 * i + 1, j] == pts[i + j][1]
+        # explicit layout on a line and on random sequences of length 3-40
+        rng = np.random.default_rng(11)
+        sequences = [line_points(9)] + [
+            [tuple(p) for p in rng.normal(0.0, 100.0, size=(length, 2)).tolist()]
+            for length in range(3, 41)
+        ]
+        for pts in sequences:
+            h = build_hankel(seq(pts))
+            n = hankel_columns(len(pts))
+            assert (h.columns, h.block_rows) == (n, len(pts) - n + 1)
+            expected = np.empty((2 * h.block_rows, n))
+            for i in range(h.block_rows):
+                for j in range(n):
+                    expected[2 * i, j], expected[2 * i + 1, j] = pts[i + j]
+            assert h.matrix.flags.c_contiguous
+            assert np.array_equal(h.matrix, expected)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,27 @@ class TestDetectionRoundTrip:
                 assert np.allclose(a.feature, b.feature)
 
 
+    def test_same_corner_features_survive_shuffled_rows(self, tmp_path):
+        from tracklink.model import Detection
+
+        # two boxes sharing their top-left corner, exactly or once written
+        # with 6 significant digits; only w, h and score tell them apart
+        for x_small in (10.0, 10.0000001):
+            small = Detection(frame=1, box=(x_small, 10, 5, 5), score=0.9,
+                              feature=np.array([1.0, 1.0]))
+            large = Detection(frame=1, box=(10.0, 10, 8, 9), score=0.6,
+                              feature=np.array([2.0, 2.0]))
+            for order in ([small, large], [large, small]):
+                dp, fp = tmp_path / "d.csv", tmp_path / "f.csv"
+                write_detections({1: order}, dp, fp)
+                lines = dp.read_text().splitlines()
+                for shuffled in (lines, lines[::-1]):
+                    dp.write_text("\n".join(shuffled) + "\n")
+                    loaded = load_detections(dp, sidecar_path=fp)
+                    by_size = {d.box[2:]: d.feature.tolist() for d in loaded[1]}
+                    assert by_size == {(5, 5): [1.0, 1.0], (8, 9): [2.0, 2.0]}
+
+
 class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         cfg = load_config(

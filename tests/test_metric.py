@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tracklink.affinity import ExitMap
 from tracklink.metric import (
     PairSet,
     build_probe_set,
@@ -14,7 +13,7 @@ from tracklink.metric import (
     metric_distance,
     refine_tracklets,
 )
-from tracklink.model import RunConfig
+from tracklink.model import ExitMap, RunConfig
 
 from conftest import cluster_features, make_tracklet, two_cluster_centers
 
@@ -55,7 +54,7 @@ class TestCollectPairs:
         target = feature_tracklet(1, 30, 10, cA, rng, x0=300.0)
         # ends before the target starts, last center deep inside the border band
         exited = feature_tracklet(2, 1, 10, cB, rng, x0=2.0)
-        assert exit_map.contains(exited.detections[-1].center)
+        assert exit_map.exited(exited)
         pairs = collect_pairs(target, [exited], "initial", RunConfig(), exit_map=exit_map)
         assert len(pairs.negatives) == 0
 
@@ -193,7 +192,8 @@ class TestRefinement:
         feats = [np.zeros(2) for _ in range(20)]
         t = self._plain(1, 1, feats)
         cfg = RunConfig(distance_threshold=50.0, refine_iters=1)
-        out = refine_tracklets([t], {1: identity_metric(1, 2)}, _probe_map({1: np.zeros(2)}), cfg)
+        _assert_identity_metric_and_zero_probe(t, cfg)
+        out = refine_tracklets([t], cfg)
         assert [x.id for x in out] == [1]
         assert out[0].length == 20
 
@@ -201,14 +201,16 @@ class TestRefinement:
         feats = [np.zeros(2)] * 10 + [np.array([10.0, 0.0])] * 5 + [np.zeros(2)] * 5
         t = self._plain(1, 1, feats)
         cfg = RunConfig(distance_threshold=50.0, refine_iters=1, split_run=5)
-        out = refine_tracklets([t], {1: identity_metric(1, 2)}, _probe_map({1: np.zeros(2)}), cfg)
+        _assert_identity_metric_and_zero_probe(t, cfg)
+        out = refine_tracklets([t], cfg)
         assert [(x.start, x.end) for x in out] == [(1, 10), (11, 20)]
 
     def test_short_parts_dropped(self):
         feats = [np.zeros(2)] * 1 + [np.array([10.0, 0.0])] * 6
         t = self._plain(1, 1, feats)
         cfg = RunConfig(distance_threshold=50.0, refine_iters=1, split_run=5)
-        out = refine_tracklets([t], {1: identity_metric(1, 2)}, _probe_map({1: np.zeros(2)}), cfg)
+        _assert_identity_metric_and_zero_probe(t, cfg)
+        out = refine_tracklets([t], cfg)
         # split before frame 2 leaves a 1-frame head, which is dropped
         assert [(x.start, x.end) for x in out] == [(2, 7)]
 
@@ -224,16 +226,16 @@ class TestRefinement:
         cA, cB = two_cluster_centers(rng)
         t1 = feature_tracklet(1, 1, 30, cA, rng)
         t2 = feature_tracklet(2, 1, 30, cB, rng, x0=400.0)
-        metrics, _ = learn_segment_metrics([t1, t2], "initial", cfg)
-        probes = build_probe_set([t1, t2], cfg)
-        out = refine_tracklets([t1, t2], metrics, probes, cfg)
+        out = refine_tracklets([t1, t2], cfg)
         assert sorted((t.start, t.end) for t in out) == [(1, 30), (1, 30)]
 
 
-def _probe_map(d):
-    from tracklink.metric import ProbeSet
-
-    return ProbeSet(probes=d)
+def _assert_identity_metric_and_zero_probe(t, cfg):
+    """A lone tracklet has no negatives, so each refinement pass learns
+    the identity metric for it; its probe is the zero first feature."""
+    metrics, _ = learn_segment_metrics([t], "initial", cfg)
+    assert np.array_equal(metrics[t.id].W, identity_metric(t.id, 2).W)
+    assert np.array_equal(build_probe_set([t], cfg)[t.id], np.zeros(2))
 
 
 def _run_swap_case(rng, swap_at, length=30):
@@ -245,8 +247,6 @@ def _run_swap_case(rng, swap_at, length=30):
     f2 = featsB[: swap_at - 1] + featsA[swap_at - 1 :]
     t1 = make_tracklet(1, 1, centers=[(50.0 + 2 * i, 60.0) for i in range(length)], features=f1)
     t2 = make_tracklet(2, 1, centers=[(50.0 + 2 * i, 80.0) for i in range(length)], features=f2)
-    metrics, _ = learn_segment_metrics([t1, t2], "initial", cfg)
-    probes = build_probe_set([t1, t2], cfg)
-    out = refine_tracklets([t1, t2], metrics, probes, cfg)
+    out = refine_tracklets([t1, t2], cfg)
     starts = sorted({t.start for t in out} - {1})
     return out, starts
