@@ -155,18 +155,6 @@ def link_score(
     return lam, score, transition_cost(score)
 
 
-def fused_score(
-    p_m: float,
-    p_a: float,
-    c: int,
-    flagged: bool,
-    gap: int,
-    cfg: RunConfig,
-) -> float:
-    """The weighted affinity S alone (see ``link_score``)."""
-    return link_score(p_m, p_a, c, flagged, gap, cfg)[1]
-
-
 def transition_cost(score: float) -> float:
     """Negative log affinity; scores at or below the floor yield +inf,
     meaning the graph edge is omitted."""

@@ -97,28 +97,30 @@ def collect_pairs(
     """
     if phase not in ("initial", "reliable"):
         raise ValueError(f"unknown phase {phase!r}")
-    samples = _strongest_samples(target, phase, cfg)
-    feats = [d.feature for d in samples]
-    positives = [
-        np.abs(feats[i] - feats[j])
-        for i in range(len(feats))
-        for j in range(i + 1, len(feats))
-    ]
-    negatives = []
-    for other in sorted(others, key=lambda t: t.id):
-        if other.id == target.id:
-            continue
-        if not _negative_source_admissible(target, other, exit_map):
-            continue
-        for od in _strongest_samples(other, phase, cfg):
-            for z in feats:
-                negatives.append(np.abs(z - od.feature))
-    dim = feats[0].size if feats else cfg.feature_dim
+    feats = _stack_features(_strongest_samples(target, phase, cfg), cfg.feature_dim)
+    i, j = np.triu_indices(len(feats), k=1)
+    sources = _stack_features(
+        [
+            od
+            for other in sorted(others, key=lambda t: t.id)
+            if other.id != target.id and _negative_source_admissible(target, other, exit_map)
+            for od in _strongest_samples(other, phase, cfg)
+        ],
+        feats.shape[1],
+    )
+    # one row per (source sample, target sample), source-major
+    negatives = np.abs(sources[:, None, :] - feats[None, :, :])
     return PairSet(
         target_id=target.id,
-        positives=np.asarray(positives, dtype=float).reshape(-1, dim),
-        negatives=np.asarray(negatives, dtype=float).reshape(-1, dim),
+        positives=np.abs(feats[i] - feats[j]),
+        negatives=negatives.reshape(-1, feats.shape[1]),
     )
+
+
+def _stack_features(samples: list[Detection], dim: int) -> np.ndarray:
+    if not samples:
+        return np.empty((0, dim))
+    return np.array([d.feature for d in samples], dtype=float)
 
 
 def _negative_source_admissible(
@@ -135,12 +137,10 @@ def _logistic_loss(a: np.ndarray) -> float:
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    mask = a >= 0
-    out[mask] = 1.0 / (1.0 + np.exp(-a[mask]))
-    ea = np.exp(a[~mask])
-    out[~mask] = ea / (1.0 + ea)
-    return out
+    # 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a)) below: never
+    # overflows, and equals those two forms bit for bit
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
@@ -154,6 +154,13 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     onto the orthogonal complement of columns 1..k-1, then descended with
     Armijo backtracking.  Columns stop at r_max or when the relative loss
     improvement drops below 1e-4; the loss never increases.
+
+    A backtracking candidate with pair margins ``a`` is rejected without
+    evaluating its loss when ``sum(max(a, 0))`` already exceeds the Armijo
+    threshold.  This cannot change a decision: every rounded
+    ``logaddexp(0, a_k)`` is at least ``max(a_k, 0)``, both sums run the
+    same pairwise summation tree over arrays of one length, and rounded
+    addition is monotone, so the bound never exceeds the exact loss.
     """
     pos = np.asarray(pairs.positives, dtype=float)
     neg = np.asarray(pairs.negatives, dtype=float)
@@ -170,6 +177,7 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     wp = np.bincount(ip, minlength=n_p).astype(float)
     wn = np.bincount(iN, minlength=n_n).astype(float)
     init_matrix = (neg * wn[:, None]).T @ neg - (pos * wp[:, None]).T @ pos
+    dominant = np.linalg.eigh(init_matrix)[1][:, -1]
 
     r_max = min(n_d, 32)
     cols: list[np.ndarray] = []
@@ -184,7 +192,7 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
         if cols:
             q = np.stack(cols, axis=1)
             basis = q / np.linalg.norm(q, axis=0)
-        w = _init_column(init_matrix, basis)
+        w = _init_column(dominant, basis)
         if w is None:
             break
         col_curve: list[float] = []
@@ -221,9 +229,8 @@ def _matched_pairs(n_p: int, n_n: int, rng_seed: int, target_id: int):
     return flat // n_n, flat % n_n
 
 
-def _init_column(init_matrix: np.ndarray, basis: np.ndarray | None):
-    _, vecs = np.linalg.eigh(init_matrix)
-    w = vecs[:, -1].copy()
+def _init_column(dominant: np.ndarray, basis: np.ndarray | None):
+    w = dominant.copy()
     if basis is not None:
         w = w - basis @ (basis.T @ w)
     norm = np.linalg.norm(w)
@@ -238,16 +245,15 @@ def _init_column(init_matrix: np.ndarray, basis: np.ndarray | None):
 
 
 def _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve: list[float]):
-    def loss_of(vec):
-        a = (base_p + (pos @ vec) ** 2)[ip] - (base_n + (neg @ vec) ** 2)[iN]
-        return _logistic_loss(a)
+    def margins(vec):
+        up = pos @ vec
+        un = neg @ vec
+        return up, un, (base_p + up**2)[ip] - (base_n + un**2)[iN]
 
-    loss = loss_of(w)
+    up, un, a = margins(w)
+    loss = _logistic_loss(a)
     curve.append(loss)
     for _ in range(_MAX_INNER_STEPS):
-        up = pos @ w
-        un = neg @ w
-        a = (base_p + up**2)[ip] - (base_n + un**2)[iN]
         s = _sigmoid(a)
         coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
         coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
@@ -258,18 +264,19 @@ def _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve: list[floa
         if grad_sq < 1e-18:
             break
         step = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS):
             candidate = w - step * grad
-            cand_loss = loss_of(candidate)
-            if cand_loss <= loss - _ARMIJO_C * step * grad_sq:
-                accepted = True
-                break
+            c_up, c_un, c_a = margins(candidate)
+            threshold = loss - _ARMIJO_C * step * grad_sq
+            if float(np.maximum(c_a, 0.0).sum()) <= threshold:
+                cand_loss = _logistic_loss(c_a)
+                if cand_loss <= threshold:
+                    break
             step *= 0.5
-        if not accepted:
+        else:
             break
         relative = (loss - cand_loss) / max(abs(loss), 1e-12)
-        w, loss = candidate, cand_loss
+        w, up, un, a, loss = candidate, c_up, c_un, c_a, cand_loss
         curve.append(loss)
         if relative < _COLUMN_TOL:
             break

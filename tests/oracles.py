@@ -3,7 +3,8 @@
 These deliberately share no code with the production solvers: the flow
 oracles enumerate node-disjoint path covers by exponential subset DP or
 solve a dense n x n assignment over link gains, the grid oracle scans
-unit directions.
+unit directions.  The metric references keep the plain descent and pair
+loops that the production metric learning must match bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from tracklink.flow import SINK, SOURCE, FlowGraph
+from tracklink.metric import (
+    _ARMIJO_C,
+    _COLUMN_TOL,
+    _MAX_HALVINGS,
+    _MAX_INNER_STEPS,
+    _PAIR_CAP,
+    _negative_source_admissible,
+    _strongest_samples,
+)
 
 
 def _path_cost(g: FlowGraph, path, entry, exit_, trans):
@@ -193,3 +203,158 @@ def grid_search_separating_direction(pos, neg, steps=360):
         frac = float(np.mean(dp[:, None] < dn[None, :]))
         best = max(best, frac)
     return best
+
+
+# Reference metric learning: the plain descent (masked sigmoid, projections
+# recomputed every step, an eigendecomposition per column, every Armijo
+# candidate's exact loss) and loop-built training pairs.  The production
+# code must match them bit for bit, so keep this arithmetic as it is.
+
+
+def reference_collect_pairs(target, others, phase, cfg, exit_map=None):
+    """(positives, negatives) built one difference vector at a time."""
+    samples = _strongest_samples(target, phase, cfg)
+    feats = [d.feature for d in samples]
+    positives = [
+        np.abs(feats[i] - feats[j])
+        for i in range(len(feats))
+        for j in range(i + 1, len(feats))
+    ]
+    negatives = []
+    for other in sorted(others, key=lambda t: t.id):
+        if other.id == target.id:
+            continue
+        if not _negative_source_admissible(target, other, exit_map):
+            continue
+        for od in _strongest_samples(other, phase, cfg):
+            for z in feats:
+                negatives.append(np.abs(z - od.feature))
+    dim = feats[0].size if feats else cfg.feature_dim
+    return (
+        np.asarray(positives, dtype=float).reshape(-1, dim),
+        np.asarray(negatives, dtype=float).reshape(-1, dim),
+    )
+
+
+def reference_logistic_loss(a):
+    return float(np.logaddexp(0.0, a).sum())
+
+
+def reference_sigmoid(a):
+    out = np.empty_like(a)
+    mask = a >= 0
+    out[mask] = 1.0 / (1.0 + np.exp(-a[mask]))
+    ea = np.exp(a[~mask])
+    out[~mask] = ea / (1.0 + ea)
+    return out
+
+
+def reference_learn_metric(positives, negatives, rng_seed, target_id):
+    """(W, initial_loss, column_curves) of the plain descent: projections
+    recomputed every step, an eigendecomposition per column and every
+    candidate's exact loss."""
+    pos = np.asarray(positives, dtype=float)
+    neg = np.asarray(negatives, dtype=float)
+    n_p, n_d = pos.shape
+    n_n = neg.shape[0]
+    ip, iN = _reference_matched_pairs(n_p, n_n, rng_seed, target_id)
+    wp = np.bincount(ip, minlength=n_p).astype(float)
+    wn = np.bincount(iN, minlength=n_n).astype(float)
+    init_matrix = (neg * wn[:, None]).T @ neg - (pos * wp[:, None]).T @ pos
+
+    r_max = min(n_d, 32)
+    cols = []
+    base_p = np.zeros(n_p)
+    base_n = np.zeros(n_n)
+    current_loss = reference_logistic_loss(base_p[ip] - base_n[iN])
+    initial_loss = current_loss
+    curves = []
+    for k in range(r_max):
+        basis = None
+        if cols:
+            q = np.stack(cols, axis=1)
+            basis = q / np.linalg.norm(q, axis=0)
+        w = _reference_init_column(init_matrix, basis)
+        if w is None:
+            break
+        col_curve = []
+        w, col_loss = _reference_descend_column(
+            w, pos, neg, base_p, base_n, ip, iN, basis, col_curve
+        )
+        improvement = (current_loss - col_loss) / max(abs(current_loss), 1e-12)
+        if improvement < _COLUMN_TOL and k > 0:
+            break
+        if basis is not None:
+            w = w - basis @ (basis.T @ w)
+        cols.append(w)
+        curves.append(tuple(col_curve))
+        current_loss = min(current_loss, col_loss)
+        base_p += (pos @ w) ** 2
+        base_n += (neg @ w) ** 2
+        if improvement < _COLUMN_TOL:
+            break
+    return np.stack(cols, axis=1), initial_loss, tuple(curves)
+
+
+def _reference_matched_pairs(n_p, n_n, rng_seed, target_id):
+    total = n_p * n_n
+    if total <= _PAIR_CAP:
+        return np.repeat(np.arange(n_p), n_n), np.tile(np.arange(n_n), n_p)
+    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, target_id & 0x7FFFFFFF]))
+    flat = rng.choice(total, _PAIR_CAP, replace=False)
+    flat.sort()
+    return flat // n_n, flat % n_n
+
+
+def _reference_init_column(init_matrix, basis):
+    _, vecs = np.linalg.eigh(init_matrix)
+    w = vecs[:, -1].copy()
+    if basis is not None:
+        w = w - basis @ (basis.T @ w)
+    norm = np.linalg.norm(w)
+    if norm < 1e-10:
+        return None
+    w = w / norm
+    pivot = np.argmax(np.abs(w))
+    if w[pivot] < 0:
+        w = -w
+    return w
+
+
+def _reference_descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve):
+    def loss_of(vec):
+        a = (base_p + (pos @ vec) ** 2)[ip] - (base_n + (neg @ vec) ** 2)[iN]
+        return reference_logistic_loss(a)
+
+    loss = loss_of(w)
+    curve.append(loss)
+    for _ in range(_MAX_INNER_STEPS):
+        up = pos @ w
+        un = neg @ w
+        a = (base_p + up**2)[ip] - (base_n + un**2)[iN]
+        s = reference_sigmoid(a)
+        coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
+        coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
+        grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un))
+        if basis is not None:
+            grad = grad - basis @ (basis.T @ grad)
+        grad_sq = float(grad @ grad)
+        if grad_sq < 1e-18:
+            break
+        step = 1.0
+        accepted = False
+        for _ in range(_MAX_HALVINGS):
+            candidate = w - step * grad
+            cand_loss = loss_of(candidate)
+            if cand_loss <= loss - _ARMIJO_C * step * grad_sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        relative = (loss - cand_loss) / max(abs(loss), 1e-12)
+        w, loss = candidate, cand_loss
+        curve.append(loss)
+        if relative < _COLUMN_TOL:
+            break
+    return w, loss

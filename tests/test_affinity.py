@@ -122,38 +122,40 @@ class TestAssessDifficult:
 
 
 class TestFusedScore:
+    """The fused score S, the second item of ``link_score``."""
+
     def test_unflagged_identity_weight(self):
-        assert aff.fused_score(1.0, 0.8, 1, False, 5, RunConfig()) == pytest.approx(0.8)
+        assert aff.link_score(1.0, 0.8, 1, False, 5, RunConfig())[1] == pytest.approx(0.8)
 
     def test_flagged_long_gap_uses_level_two(self):
         cfg = RunConfig(lambda1=0.5, lambda2=0.2)
-        s = aff.fused_score(0.5, 0.8, 1, True, 25, cfg)
+        s = aff.link_score(0.5, 0.8, 1, True, 25, cfg)[1]
         assert s == pytest.approx(0.5**0.2 * 0.8)
         assert s == pytest.approx(0.696440, abs=1e-5)
 
     def test_gate_zeroes(self):
-        assert aff.fused_score(0.9, 0.8, 0, False, 5, RunConfig()) == 0.0
-        assert aff.fused_score(NEG_INF, 0.8, 1, False, 5, RunConfig()) == 0.0
+        assert aff.link_score(0.9, 0.8, 0, False, 5, RunConfig())[1] == 0.0
+        assert aff.link_score(NEG_INF, 0.8, 1, False, 5, RunConfig())[1] == 0.0
 
     def test_zero_weight_ignores_motion(self):
         cfg = RunConfig(lambda1=0.0)
-        assert aff.fused_score(0.0, 0.7, 1, True, 5, cfg) == pytest.approx(0.7)
+        assert aff.link_score(0.0, 0.7, 1, True, 5, cfg)[1] == pytest.approx(0.7)
 
     def test_monotone_in_motion(self):
         cfg = RunConfig()
-        values = [aff.fused_score(p, 0.8, 1, True, 5, cfg) for p in (0.1, 0.4, 0.7, 1.0)]
+        values = [aff.link_score(p, 0.8, 1, True, 5, cfg)[1] for p in (0.1, 0.4, 0.7, 1.0)]
         assert values == sorted(values)
 
     def test_lower_weight_raises_score_for_weak_motion(self):
         base = RunConfig(lambda1=0.9)
         softer = RunConfig(lambda1=0.2)
-        strong = aff.fused_score(0.3, 0.8, 1, True, 5, base)
-        soft = aff.fused_score(0.3, 0.8, 1, True, 5, softer)
+        strong = aff.link_score(0.3, 0.8, 1, True, 5, base)[1]
+        soft = aff.link_score(0.3, 0.8, 1, True, 5, softer)[1]
         assert soft > strong
 
     def test_adjacent_flagged_pair_keeps_full_weight(self):
         cfg = RunConfig(lambda1=0.5)
-        assert aff.fused_score(0.25, 1.0, 1, True, 0, cfg) == pytest.approx(0.25)
+        assert aff.link_score(0.25, 1.0, 1, True, 0, cfg)[1] == pytest.approx(0.25)
 
 
 class TestTransitionCost:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import tracklink.metric as metric_module
 from tracklink.metric import (
+    _PAIR_CAP,
     PairSet,
     build_probe_set,
     collect_pairs,
@@ -16,6 +20,12 @@ from tracklink.metric import (
 from tracklink.model import ExitMap, RunConfig
 
 from conftest import cluster_features, make_tracklet, two_cluster_centers
+from oracles import (
+    reference_collect_pairs,
+    reference_learn_metric,
+    reference_logistic_loss,
+    reference_sigmoid,
+)
 
 
 def feature_tracklet(tid, start, length, center, rng, noise=1.0, scores=None, x0=50.0):
@@ -139,6 +149,116 @@ class TestLearnMetric:
         lines = out.read_text().splitlines()
         assert lines[0] == "tracklet_id,column,norm,losses"
         assert len(lines) == 1 + metric.rank
+
+
+class TestReferenceEquivalence:
+    """learn_metric and collect_pairs equal the plain loops in ``oracles``
+    bit for bit: same W, same losses, same rows in the same order."""
+
+    @staticmethod
+    def _assert_same_metric(pos, neg, target_id=1, cfg=RunConfig()):
+        metric = learn_metric(PairSet(target_id, pos, neg), cfg)
+        W, initial_loss, curves = reference_learn_metric(pos, neg, cfg.rng_seed, target_id)
+        assert np.array_equal(metric.W, W)
+        assert metric.initial_loss == initial_loss
+        assert metric.column_curves == curves
+
+    @staticmethod
+    def _cluster_pairs(rng, n_p, n_n, noise):
+        cA, cB = two_cluster_centers(rng)
+        pos = np.abs(rng.normal(0, noise, (n_p, 32)))
+        neg = np.abs((cA - cB) + rng.normal(0, noise, (n_n, 32)))
+        return pos, neg
+
+    def test_full_cartesian_pairing(self, rng):
+        pos, neg = self._cluster_pairs(rng, 6, 20, 1.4)
+        self._assert_same_metric(pos, neg)
+
+    def test_capped_sampled_pairing(self, rng):
+        pos, neg = self._cluster_pairs(rng, 6, 400, 1.4)
+        assert len(pos) * len(neg) > _PAIR_CAP
+        for target_id in (1, 2, 3):
+            self._assert_same_metric(pos, neg, target_id=target_id)
+
+    def test_identical_sides(self, rng):
+        vecs = np.abs(rng.normal(0, 1.0, (6, 8)))
+        self._assert_same_metric(vecs, vecs.copy())
+
+    def test_separable_2d_toy(self, rng):
+        pos = np.column_stack([np.abs(rng.normal(0, 1, 40)), np.full(40, 1e-3)])
+        neg = np.column_stack([np.full(40, 1e-3), np.abs(rng.normal(2, 0.5, 40))])
+        self._assert_same_metric(pos, neg, cfg=RunConfig(feature_dim=2))
+
+    def test_armijo_halvings_decided_by_bound(self, rng, monkeypatch):
+        pos, neg = self._cluster_pairs(rng, 10, 200, 3.0)
+        exact = {"production": 0, "reference": 0}
+
+        def counted(key, loss):
+            def wrapper(a):
+                exact[key] += 1
+                return loss(a)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            metric_module, "_logistic_loss", counted("production", metric_module._logistic_loss)
+        )
+        monkeypatch.setattr(
+            "oracles.reference_logistic_loss", counted("reference", reference_logistic_loss)
+        )
+        self._assert_same_metric(pos, neg)
+        # the bound rejected some halved candidates without their exact loss
+        assert 0 < exact["production"] < exact["reference"]
+
+    @pytest.mark.parametrize("phase", ["initial", "reliable"])
+    def test_collect_pairs_matches_loop(self, rng, phase):
+        cA, cB = two_cluster_centers(rng)
+        exit_map = ExitMap(width=640, height=480, band=24.0)
+        target = feature_tracklet(3, 30, 12, cA, rng, x0=300.0)
+        others = [
+            feature_tracklet(1, 1, 10, cB, rng, x0=2.0),  # exited before the target
+            feature_tracklet(2, 1, 10, cB, rng, x0=200.0),
+            feature_tracklet(5, 32, 3, cA, rng, x0=400.0),
+            feature_tracklet(4, 35, 20, cB, rng, x0=100.0),
+            target,
+        ]
+        cfg = RunConfig()
+        for em in (None, exit_map):
+            pairs = collect_pairs(target, others, phase, cfg, exit_map=em)
+            positives, negatives = reference_collect_pairs(target, others, phase, cfg, em)
+            assert pairs.positives.dtype == positives.dtype
+            assert pairs.negatives.dtype == negatives.dtype
+            assert np.array_equal(pairs.positives, positives)
+            assert np.array_equal(pairs.negatives, negatives)
+        lone = collect_pairs(feature_tracklet(6, 1, 1, cA, rng), [], phase, cfg)
+        assert lone.positives.shape == (0, 32) and lone.negatives.shape == (0, 32)
+
+
+_EDGE_VALUES = [0.0, -0.0, 1e3, -1e3, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]
+_margins = arrays(
+    np.float64,
+    st.integers(0, 600),
+    elements=st.one_of(
+        st.sampled_from(_EDGE_VALUES),
+        st.floats(-1e3, 1e3),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+class TestExactRewrites:
+    @given(_margins)
+    @example(np.array(_EDGE_VALUES))
+    def test_sigmoid_equals_masked_form(self, a):
+        expected = reference_sigmoid(a)
+        got = metric_module._sigmoid(a)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @given(_margins)
+    @example(np.array(_EDGE_VALUES))
+    @example(np.full(300, 1e3))
+    def test_hinge_sum_bounds_logistic_loss(self, a):
+        assert float(np.maximum(a, 0.0).sum()) <= metric_module._logistic_loss(a)
 
 
 class TestDistance:
