@@ -14,12 +14,14 @@ any weights and passes through unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from tracklink.dynamics import NEG_INF, motion_similarity
 from tracklink.metric import ProbeSet, TargetMetric, metric_distance
 from tracklink.model import (
+    Box,
     ExitMap,
     RunConfig,
     Tracklet,
@@ -99,30 +101,23 @@ def _mean_probe_distance(t: Tracklet, metric: TargetMetric, probe) -> float:
 def assess_difficult(tracklets: list[Tracklet], cfg: RunConfig) -> set[int]:
     """Ids of tracklets in an occlusion-like configuration: a pair whose
     boxes overlap by at least eta times the smaller area at a shared
-    starting frame or a shared ending frame."""
+    starting frame or a shared ending frame.  Only tracklets that start
+    (or end) in one frame can form such a pair, so each frame's group is
+    tested on its own."""
     flagged: set[int] = set()
-    ordered = sorted(tracklets, key=lambda t: t.id)
-    for idx, t_i in enumerate(ordered):
-        for t_k in ordered[idx + 1 :]:
-            if _difficult_pair(t_i, t_k, cfg.overlap_eta):
-                flagged.add(t_i.id)
-                flagged.add(t_k.id)
+    for pick in (0, -1):  # the first detection, then the last
+        groups: dict[int, list[tuple[int, Box]]] = {}
+        for t in tracklets:
+            det = t.detections[pick]
+            groups.setdefault(det.frame, []).append((t.id, det.box))
+        for group in groups.values():
+            for (id_i, box_i), (id_k, box_k) in itertools.combinations(group, 2):
+                overlap = intersection_area(box_i, box_k)
+                smaller = min(box_i[2] * box_i[3], box_k[2] * box_k[3])
+                if overlap >= cfg.overlap_eta * smaller:
+                    flagged.add(id_i)
+                    flagged.add(id_k)
     return flagged
-
-
-def _difficult_pair(t_i: Tracklet, t_k: Tracklet, eta: float) -> bool:
-    for pick in ("start", "end"):
-        f_i = t_i.start if pick == "start" else t_i.end
-        f_k = t_k.start if pick == "start" else t_k.end
-        if f_i != f_k:
-            continue
-        box_i = t_i.detection_at(f_i).box
-        box_k = t_k.detection_at(f_k).box
-        overlap = intersection_area(box_i, box_k)
-        smaller = min(box_i[2] * box_i[3], box_k[2] * box_k[3])
-        if overlap >= eta * smaller:
-            return True
-    return False
 
 
 def motion_weight(flagged: bool, gap: int, cfg: RunConfig) -> float:

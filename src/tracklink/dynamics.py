@@ -6,6 +6,10 @@ order of the autoregressive model generating the motion.  Two tracklets
 moving under one shared model keep the joint rank equal to each part's
 rank, driving the rank-ratio similarity to 1; unrelated motions inflate
 the joint rank and drive it toward (or below) 0.
+
+Each tracklet's own rank is estimated once and kept on the tracklet, so
+a candidate link costs one SVD: the rank of its gap-filled joint
+sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from tracklink.model import Tracklet, temporal_overlap
 
@@ -29,43 +32,36 @@ SHORT_TRACKLET_SIMILARITY = 0.5
 
 
 @dataclass(frozen=True)
-class DynamicSequence:
-    """Frame-ordered 2-D positions (box centers), gapless."""
-
-    start_frame: int
-    positions: tuple[tuple[float, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
 class HankelMatrix:
     matrix: np.ndarray
     columns: int
     block_rows: int
 
 
-def sequence_of(t: Tracklet) -> DynamicSequence:
-    return DynamicSequence(start_frame=t.start, positions=tuple(t.centers()))
-
-
 def hankel_columns(length: int) -> int:
     return length - math.ceil(length / 3) + 1
 
 
-def build_hankel(seq: DynamicSequence) -> HankelMatrix:
-    """Block-Hankel layout: block row i, column j holds position i+j-2
-    (1-based), x coordinate on the block's first row, y on the second."""
-    length = len(seq)
+def build_hankel(positions) -> HankelMatrix:
+    """Block-Hankel layout of a (length, 2) position sequence: block row
+    i, column j holds position i+j-2 (1-based), x coordinate on the
+    block's first row, y on the second."""
+    positions = np.ascontiguousarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError(f"positions must have shape (length, 2), got {positions.shape}")
+    length = len(positions)
     if length < 3:
         raise ValueError(f"need at least 3 positions for a Hankel window, got {length}")
     n = hankel_columns(length)
     block_rows = length - n + 1
-    # windows[i, c, j] = positions[i + j][c]; rows 2i and 2i+1 are block i
-    windows = sliding_window_view(np.asarray(seq.positions, dtype=float), n, axis=0)
-    mat = np.ascontiguousarray(windows.reshape(2 * block_rows, n))
-    return HankelMatrix(matrix=mat, columns=n, block_rows=block_rows)
+    # over the contiguous (x, y) stream, row r = 2i + c starts at element r
+    # and column j steps one position (two elements): entry (r, j) is
+    # positions[i + j][c]
+    item = positions.itemsize
+    windows = np.ndarray(
+        (2 * block_rows, n), dtype=float, buffer=positions, strides=(item, 2 * item)
+    )
+    return HankelMatrix(matrix=windows.copy(), columns=n, block_rows=block_rows)
 
 
 def estimate_rank(h: HankelMatrix, tau: float) -> int:
@@ -78,21 +74,26 @@ def estimate_rank(h: HankelMatrix, tau: float) -> int:
     return int(np.sum(sv > tau * sv[0]))
 
 
-def interpolate_gap(a: Tracklet, b: Tracklet) -> DynamicSequence:
-    """Joint center sequence of a, linearly interpolated gap frames, b."""
+def own_rank(t: Tracklet, tau: float) -> int:
+    """Hankel rank of t's own centers, estimated once per tolerance and
+    kept in the tracklet's memo."""
+    key = ("hankel_rank", tau)
+    if key not in t.memo:
+        t.memo[key] = estimate_rank(build_hankel(t.center_array), tau)
+    return t.memo[key]
+
+
+def interpolate_gap(a: Tracklet, b: Tracklet) -> np.ndarray:
+    """Joint (length, 2) center array: a's centers, the gap frames
+    linearly interpolated from a's last center to b's first, b's centers."""
     if b.start <= a.end:
         raise ValueError(
             f"interpolate_gap needs b after a (a.end={a.end}, b.start={b.start})"
         )
-    positions = list(a.centers())
     gap = b.start - a.end - 1
-    ax, ay = positions[-1]
-    bx, by = b.centers()[0]
-    for i in range(1, gap + 1):
-        frac = i / (gap + 1)
-        positions.append((ax + frac * (bx - ax), ay + frac * (by - ay)))
-    positions.extend(b.centers())
-    return DynamicSequence(start_frame=a.start, positions=tuple(positions))
+    last, first = a.center_array[-1], b.center_array[0]
+    frac = np.arange(1, gap + 1)[:, None] / (gap + 1)
+    return np.concatenate((a.center_array, last + frac * (first - last), b.center_array))
 
 
 def motion_similarity(a: Tracklet, b: Tracklet, tau: float) -> float:
@@ -107,8 +108,8 @@ def motion_similarity(a: Tracklet, b: Tracklet, tau: float) -> float:
         return NEG_INF
     if a.length < 3 or b.length < 3:
         return SHORT_TRACKLET_SIMILARITY
-    rank_a = estimate_rank(build_hankel(sequence_of(a)), tau)
-    rank_b = estimate_rank(build_hankel(sequence_of(b)), tau)
+    rank_a = own_rank(a, tau)
+    rank_b = own_rank(b, tau)
     rank_joint = estimate_rank(build_hankel(interpolate_gap(a, b)), tau)
     if rank_joint == 0:
         return SHORT_TRACKLET_SIMILARITY

@@ -97,17 +97,14 @@ def collect_pairs(
     """
     if phase not in ("initial", "reliable"):
         raise ValueError(f"unknown phase {phase!r}")
-    feats = _stack_features(_strongest_samples(target, phase, cfg), cfg.feature_dim)
+    feats = _sample_features(target, phase, cfg)
     i, j = np.triu_indices(len(feats), k=1)
-    sources = _stack_features(
-        [
-            od
-            for other in sorted(others, key=lambda t: t.id)
-            if other.id != target.id and _negative_source_admissible(target, other, exit_map)
-            for od in _strongest_samples(other, phase, cfg)
-        ],
-        feats.shape[1],
-    )
+    admitted = [
+        _sample_features(other, phase, cfg)
+        for other in sorted(others, key=lambda t: t.id)
+        if other.id != target.id and _negative_source_admissible(target, other, exit_map)
+    ]
+    sources = np.concatenate(admitted) if admitted else np.empty((0, feats.shape[1]))
     # one row per (source sample, target sample), source-major
     negatives = np.abs(sources[:, None, :] - feats[None, :, :])
     return PairSet(
@@ -117,10 +114,21 @@ def collect_pairs(
     )
 
 
-def _stack_features(samples: list[Detection], dim: int) -> np.ndarray:
-    if not samples:
-        return np.empty((0, dim))
-    return np.array([d.feature for d in samples], dtype=float)
+def _sample_features(t: Tracklet, phase: str, cfg: RunConfig) -> np.ndarray:
+    """Features of t's strongest samples, one read-only row each; selected
+    once per phase and sampling setting and kept in the tracklet's memo, so
+    a segment's pair sets select each tracklet's samples once, not once
+    per target."""
+    key = ("strongest_features", phase, cfg.probe_window, cfg.strongest_q, cfg.feature_dim)
+    if key not in t.memo:
+        samples = _strongest_samples(t, phase, cfg)
+        if samples:
+            feats = np.array([d.feature for d in samples], dtype=float)
+        else:
+            feats = np.empty((0, cfg.feature_dim))
+        feats.flags.writeable = False
+        t.memo[key] = feats
+    return t.memo[key]
 
 
 def _negative_source_admissible(

@@ -8,6 +8,7 @@ immutable value objects once constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +76,20 @@ class Tracklet:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    def centers(self) -> list[tuple[float, float]]:
-        return [d.center for d in self.detections]
+    @cached_property
+    def center_array(self) -> np.ndarray:
+        """Box centers as one read-only (length, 2) float array, built once
+        from the ``Detection.center`` floats."""
+        centers = np.array([d.center for d in self.detections], dtype=float)
+        centers.flags.writeable = False
+        return centers
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values derived from this tracklet, each under a key that names
+        how it was derived (the deriving function and its parameters);
+        the tracklet is immutable, so they never go stale."""
+        return {}
 
     def detection_at(self, frame: int) -> Detection:
         return self.detections[frame - self.start]

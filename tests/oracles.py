@@ -4,7 +4,9 @@ These deliberately share no code with the production solvers: the flow
 oracles enumerate node-disjoint path covers by exponential subset DP or
 solve a dense n x n assignment over link gains, the grid oracle scans
 unit directions.  The metric references keep the plain descent and pair
-loops that the production metric learning must match bit for bit.
+loops that the production metric learning must match bit for bit; the
+motion reference keeps the three-SVD rank ratio built from tuples, and
+the difficulty reference tests every pair of tracklets.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
 from tracklink.flow import SINK, SOURCE, FlowGraph
@@ -358,3 +361,70 @@ def _reference_descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve)
         if relative < _COLUMN_TOL:
             break
     return w, loss
+
+
+# Reference motion similarity: both own ranks and the joint rank from
+# their own Hankel matrices on every call, the joint sequence built one
+# tuple at a time.  The production cue must match it bit for bit.
+
+
+def reference_hankel(positions):
+    length = len(positions)
+    if length < 3:
+        raise ValueError(f"need at least 3 positions for a Hankel window, got {length}")
+    n = length - math.ceil(length / 3) + 1
+    block_rows = length - n + 1
+    windows = sliding_window_view(np.asarray(positions, dtype=float), n, axis=0)
+    return np.ascontiguousarray(windows.reshape(2 * block_rows, n))
+
+
+def _reference_rank(matrix, tau):
+    if tau <= 0:
+        raise ValueError("rank tolerance must be positive")
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > tau * sv[0]))
+
+
+def reference_joint_centers(a, b):
+    positions = [d.center for d in a.detections]
+    gap = b.start - a.end - 1
+    ax, ay = positions[-1]
+    bx, by = b.detections[0].center
+    for i in range(1, gap + 1):
+        frac = i / (gap + 1)
+        positions.append((ax + frac * (bx - ax), ay + frac * (by - ay)))
+    positions.extend(d.center for d in b.detections)
+    return tuple(positions)
+
+
+def reference_motion_similarity(a, b, tau):
+    if b.start <= a.end:  # also every temporal overlap
+        return float("-inf")
+    if a.length < 3 or b.length < 3:
+        return 0.5
+    rank_a = _reference_rank(reference_hankel(tuple(d.center for d in a.detections)), tau)
+    rank_b = _reference_rank(reference_hankel(tuple(d.center for d in b.detections)), tau)
+    rank_joint = _reference_rank(reference_hankel(reference_joint_centers(a, b)), tau)
+    if rank_joint == 0:
+        return 0.5
+    return (rank_a + rank_b) / rank_joint - 1.0
+
+
+def reference_assess_difficult(tracklets, eta):
+    """Ids of both tracklets of every pair whose boxes overlap by at least
+    eta times the smaller area at a shared start or a shared end frame,
+    found by testing all pairs."""
+    flagged = set()
+    for t_i, t_k in itertools.combinations(tracklets, 2):
+        for f_i, f_k in ((t_i.start, t_k.start), (t_i.end, t_k.end)):
+            if f_i != f_k:
+                continue
+            ax, ay, aw, ah = t_i.detection_at(f_i).box
+            bx, by, bw, bh = t_k.detection_at(f_k).box
+            iw = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+            ih = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+            if iw * ih >= eta * min(aw * ah, bw * bh):
+                flagged.update((t_i.id, t_k.id))
+    return flagged

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tracklink.association import prepare_reliable_tracklets, track_sequence
-from tracklink.dynamics import DynamicSequence, build_hankel, estimate_rank, motion_similarity
+from tracklink.dynamics import build_hankel, estimate_rank, motion_similarity
 from tracklink.evaluation import evaluate, learn_weights
 from tracklink.flow import solve_paths
 from tracklink.metric import collect_pairs, learn_metric, refine_tracklets
@@ -100,7 +100,7 @@ def test_criterion_1_flow_solver_oracle():
 
 def test_criterion_2_hankel_ranks():
     def rank_of(points):
-        return estimate_rank(build_hankel(DynamicSequence(1, tuple(points))), TAU)
+        return estimate_rank(build_hankel(points), TAU)
 
     const = [(200.0, 150.0)] * 12
     cv = [(10.0 * t + 50.0, 20.0 * t + 30.0) for t in range(1, 13)]

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tracklink.dynamics as dynamics
 from tracklink import affinity as aff
 from tracklink.dynamics import NEG_INF
 from tracklink.metric import ProbeSet, identity_metric, learn_segment_metrics, build_probe_set
 from tracklink.model import ExitMap, RunConfig
 
-from conftest import cluster_features, make_tracklet, two_cluster_centers
+from conftest import cluster_features, line_tracklet, make_tracklet, two_cluster_centers
+from oracles import reference_assess_difficult, reference_motion_similarity
 
 
 def feature_tracklet(tid, start, length, center, rng, y=60.0, x0=50.0, noise=1.0):
@@ -119,6 +122,28 @@ class TestAssessDifficult:
         after_2 = make_tracklet(4, 20, boxes=[(48.0 - 4 * i, 50, 12, 24) for i in range(10)])
         flagged = aff.assess_difficult([before_1, before_2, after_1, after_2], RunConfig())
         assert flagged == {1, 2, 3, 4}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=0, max_size=14
+        ),
+        eta=st.sampled_from([0.05, 0.3, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_all_pairs_oracle(self, spans, eta, seed):
+        # (start, length) drawn from few values, so many tracklets share a
+        # start or an end frame; boxes on a small canvas often overlap
+        rng = np.random.default_rng(seed)
+        tracklets = []
+        for tid, (start, length) in enumerate(spans, start=1):
+            boxes = [
+                (*rng.integers(0, 30, 2).astype(float), *rng.uniform(4.0, 20.0, 2))
+                for _ in range(length)
+            ]
+            tracklets.append(make_tracklet(tid, start, boxes=boxes))
+        cfg = RunConfig(overlap_eta=eta)
+        assert aff.assess_difficult(tracklets, cfg) == reference_assess_difficult(tracklets, eta)
 
 
 class TestFusedScore:
@@ -272,3 +297,28 @@ class TestTableAssembly:
             cfg = RunConfig(lambda1=l1, lambda2=l2)
             for rows in (aff.refit_lambdas(table, cfg).rows, build(cfg).rows):
                 assert [r for r in rows if not r.flagged] == unflagged
+
+    def test_one_rank_per_row_plus_one_per_tracklet(self, monkeypatch):
+        calls = []
+        counted = dynamics.estimate_rank
+        monkeypatch.setattr(
+            dynamics, "estimate_rank", lambda h, tau: calls.append(1) or counted(h, tau)
+        )
+        tracklets = [
+            line_tracklet(tid, start, length, origin=(40.0 * tid, 300.0), velocity=(v, -2.0))
+            for tid, start, length, v in [
+                (1, 1, 8, 3.0), (2, 1, 12, -4.0), (3, 12, 9, 5.0), (4, 15, 2, 2.0),
+                (5, 22, 10, -3.0), (6, 26, 7, 6.0), (7, 35, 11, 1.5),
+            ]
+        ]
+        cfg = RunConfig()
+        pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, cfg)
+        table = aff.build_affinity_table(
+            0, pairs, {}, None, set(), cfg, None, use_appearance=False
+        )
+        assert len(table.rows) == len(pairs) > len(tracklets)
+        assert len(calls) <= len(table.rows) + len({t.id for t in tracklets})
+        by_id = {t.id: t for t in tracklets}
+        for row in table.rows:
+            expected = reference_motion_similarity(by_id[row.i], by_id[row.j], cfg.rank_tol)
+            assert row.p_m == expected

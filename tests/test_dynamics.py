@@ -2,27 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tracklink.dynamics as dynamics
 from tracklink.dynamics import (
     NEG_INF,
     SHORT_TRACKLET_SIMILARITY,
-    DynamicSequence,
     build_hankel,
     estimate_rank,
     hankel_columns,
     interpolate_gap,
     motion_similarity,
-    sequence_of,
 )
 from tracklink.model import RunConfig
 
 from conftest import line_tracklet, make_tracklet
+from oracles import reference_hankel, reference_joint_centers, reference_motion_similarity
 
 TAU = 0.01
 
 
 def seq(points):
-    return DynamicSequence(start_frame=1, positions=tuple(points))
+    return np.array(points, dtype=float)
 
 
 def line_points(n, origin=(60.0, 400.0), velocity=(8.0, -5.0)):
@@ -106,21 +107,21 @@ class TestInterpolateGap:
         a = make_tracklet(1, 1, centers=[(-2.0, -2.0), (-1.0, -1.0), (0.0, 0.0)])
         b = make_tracklet(2, 5, centers=[(4.0, 4.0), (5.0, 5.0)])
         joint = interpolate_gap(a, b)
-        assert joint.positions[2] == (0.0, 0.0)
-        assert joint.positions[3] == (2.0, 2.0)  # the single gap frame
-        assert len(joint) == b.end - a.start + 1
+        assert joint[2].tolist() == [0.0, 0.0]
+        assert joint[3].tolist() == [2.0, 2.0]  # the single gap frame
+        assert joint.shape == (b.end - a.start + 1, 2)
 
     def test_adjacent_concatenates(self):
         a = make_tracklet(1, 1, centers=[(0.0, 0.0), (1.0, 0.0)])
         b = make_tracklet(2, 3, centers=[(2.0, 0.0), (3.0, 0.0)])
         joint = interpolate_gap(a, b)
-        assert joint.positions == ((0, 0), (1, 0), (2, 0), (3, 0))
+        assert joint.tolist() == [[0, 0], [1, 0], [2, 0], [3, 0]]
 
     def test_three_gap_affine_steps(self):
         a = make_tracklet(1, 1, centers=[(-1.0, 0.0), (0.0, 0.0)])
         b = make_tracklet(2, 6, centers=[(8.0, 0.0), (9.0, 0.0)])
         joint = interpolate_gap(a, b)
-        assert joint.positions[2:5] == ((2.0, 0.0), (4.0, 0.0), (6.0, 0.0))
+        assert joint[2:5].tolist() == [[2.0, 0.0], [4.0, 0.0], [6.0, 0.0]]
 
     def test_ordering_violation(self):
         a = make_tracklet(1, 1, length=5)
@@ -207,3 +208,73 @@ class TestMotionSimilarity:
             if motion_similarity(a, b, TAU) > 1.05:
                 violations += 1
         assert violations == 0
+
+
+def _centers(kind, length, rng):
+    """A center sequence of one of the shapes the motion cue meets."""
+    if kind == "zero":
+        return np.zeros((length, 2))
+    if kind == "constant":
+        return np.tile(rng.uniform(0.0, 640.0, 2), (length, 1))
+    if kind == "grid":
+        return rng.integers(0, 640, (length, 2)).astype(float)
+    t = np.arange(length)[:, None]
+    path = rng.uniform(0.0, 640.0, 2) + rng.uniform(-9.0, 9.0, 2) * t
+    path += rng.uniform(-0.2, 0.2, 2) * t**2
+    return path + rng.normal(0.0, 0.5, (length, 2))
+
+
+_KINDS = st.sampled_from(["noisy", "grid", "constant", "zero"])
+
+
+class TestReferenceEquivalence:
+    """motion_similarity equals the three-SVD tuple path in ``oracles``
+    exactly, -inf and the 0.5 fallback included; the joint sequence and
+    its Hankel matrix equal the reference's bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        len_a=st.integers(1, 40),
+        len_b=st.integers(1, 40),
+        offset=st.integers(-6, 25),  # b.start - a.end - 1; below 0 overlaps
+        kind_a=_KINDS,
+        kind_b=_KINDS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, len_a, len_b, offset, kind_a, kind_b, seed):
+        rng = np.random.default_rng(seed)
+        a = make_tracklet(1, 30, centers=_centers(kind_a, len_a, rng).tolist())
+        b = make_tracklet(2, a.end + 1 + offset, centers=_centers(kind_b, len_b, rng).tolist())
+        if offset >= 0:
+            joint = interpolate_gap(a, b)
+            assert joint.tolist() == [list(p) for p in reference_joint_centers(a, b)]
+            if len(joint) >= 3:
+                assert np.array_equal(build_hankel(joint).matrix, reference_hankel(joint.tolist()))
+        for tau in (TAU, 0.1, TAU):  # a second tolerance, then the memo again
+            got = motion_similarity(a, b, tau)
+            assert got == reference_motion_similarity(a, b, tau)
+            if offset < 0:
+                assert got == NEG_INF
+            elif min(len_a, len_b) < 3 or kind_a == kind_b == "zero":
+                assert got == SHORT_TRACKLET_SIMILARITY
+
+    def test_own_rank_estimated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            dynamics, "estimate_rank", lambda h, tau: calls.append(h) or 1
+        )
+        a = line_tracklet(1, 1, 10)
+        later = [line_tracklet(k, 12 + k, 10) for k in range(2, 6)]
+        for b in later:
+            motion_similarity(a, b, TAU)
+        # a once, each b once, one joint rank per pair
+        assert len(calls) == 1 + 2 * len(later)
+        motion_similarity(a, later[0], TAU)
+        assert len(calls) == 2 + 2 * len(later)
+
+    def test_center_array_read_only(self):
+        t = line_tracklet(1, 1, 5)
+        assert t.center_array.shape == (5, 2)
+        assert t.center_array.tolist() == [list(d.center) for d in t.detections]
+        with pytest.raises(ValueError):
+            t.center_array[0, 0] = 0.0

@@ -81,6 +81,23 @@ class TestCollectPairs:
         with pytest.raises(ValueError, match="without features"):
             collect_pairs(bare, [], "initial", RunConfig())
 
+    def test_segment_selects_each_tracklets_samples_once_per_phase(self, rng, monkeypatch):
+        cA, cB = two_cluster_centers(rng)
+        tracklets = [
+            feature_tracklet(tid, 1 + 3 * tid, 10, cA if tid % 2 else cB, rng, x0=60.0 * tid)
+            for tid in range(1, 7)
+        ]
+        calls = []
+        select = metric_module._strongest_samples
+        monkeypatch.setattr(
+            metric_module,
+            "_strongest_samples",
+            lambda t, phase, cfg: calls.append((t.id, phase)) or select(t, phase, cfg),
+        )
+        for phase in ("initial", "reliable", "initial"):
+            learn_segment_metrics(tracklets, phase, RunConfig())
+        assert sorted(calls) == sorted((t.id, p) for t in tracklets for p in ("initial", "reliable"))
+
 
 class TestLearnMetric:
     def test_identical_sides_stall_at_log2(self, rng):
