@@ -5,8 +5,10 @@ oracles enumerate node-disjoint path covers by exponential subset DP or
 solve a dense n x n assignment over link gains, the grid oracle scans
 unit directions.  The metric references keep the plain descent and pair
 loops that the production metric learning must match bit for bit; the
-motion reference keeps the three-SVD rank ratio built from tuples, and
-the difficulty reference tests every pair of tracklets.
+motion reference keeps the three-SVD rank ratio built from tuples, the
+difficulty reference tests every pair of tracklets, and the initial
+tracklet reference runs the greedy extraction over the whole scene with
+a scalar gate.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from tracklink.metric import (
     _negative_source_admissible,
     _strongest_samples,
 )
+from tracklink.model import Detection, RunConfig, Tracklet
+from tracklink.tracklets import detection_cost
 
 
 def _path_cost(g: FlowGraph, path, entry, exit_, trans):
@@ -428,3 +432,93 @@ def reference_assess_difficult(tracklets, eta):
             if iw * ih >= eta * min(aw * ah, bw * bh):
                 flagged.update((t_i.id, t_k.id))
     return flagged
+
+
+# Reference initial tracklets: the greedy extraction over all detections
+# of the scene at every step, with a scalar gate.  The per-component
+# production pass must give the same chains and the same ids.
+
+
+def _reference_gated(a: Detection, b: Detection) -> bool:
+    # centers closer than half the summed widths per one-frame step
+    (ax, ay), (bx, by) = a.center, b.center
+    limit = 0.5 * (a.box[2] + b.box[2])
+    return math.hypot(bx - ax, by - ay) < limit
+
+
+def reference_generate_initial_tracklets(
+    detections: dict[int, list[Detection]],
+    cfg: RunConfig,
+    start_id: int = 1,
+) -> list[Tracklet]:
+    frames = sorted(detections)
+    nodes: list[Detection] = []
+    node_of: dict[int, list[int]] = {}
+    for f in frames:
+        node_of[f] = []
+        for det in detections[f]:
+            node_of[f].append(len(nodes))
+            nodes.append(det)
+    n = len(nodes)
+    if n == 0:
+        return []
+    cost = [detection_cost(d.score) for d in nodes]
+    endpoint_ok = [d.score > cfg.det_threshold for d in nodes]
+    entry_cost = -math.log(cfg.entry_exit_prob)
+    exit_cost = -math.log(cfg.entry_exit_prob)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for f in frames:
+        if f + 1 not in node_of:
+            continue
+        for j in node_of[f + 1]:
+            for i in node_of[f]:
+                if _reference_gated(nodes[i], nodes[j]):
+                    preds[j].append(i)
+
+    alive = [True] * n
+    tracklets: list[Tracklet] = []
+    next_id = start_id
+    while True:
+        # arrive1[v]: best entry chain of exactly one detection ending at v;
+        # arrive2[v]: best chain of >= 2 detections ending at v.
+        arrive1 = [math.inf] * n
+        arrive2 = [math.inf] * n
+        back: list[int] = [-1] * n
+        best_cost = math.inf
+        best_end = -1
+        for f in frames:
+            for v in node_of[f]:
+                if not alive[v]:
+                    continue
+                if endpoint_ok[v]:
+                    arrive1[v] = entry_cost + cost[v]
+                best_prev = math.inf
+                best_prev_node = -1
+                for u in preds[v]:
+                    if not alive[u]:
+                        continue
+                    c = min(arrive1[u], arrive2[u])
+                    if c < best_prev:
+                        best_prev = c
+                        best_prev_node = u
+                if best_prev_node >= 0 and math.isfinite(best_prev):
+                    arrive2[v] = best_prev + cost[v]
+                    back[v] = best_prev_node
+                if endpoint_ok[v] and math.isfinite(arrive2[v]):
+                    total = arrive2[v] + exit_cost
+                    if total < best_cost:
+                        best_cost = total
+                        best_end = v
+        if best_end < 0 or best_cost >= 0.0:
+            break
+        chain = [best_end]
+        v = best_end
+        while arrive2[v] <= arrive1[v] and back[v] >= 0:
+            v = back[v]
+            chain.append(v)
+        chain.reverse()
+        for v in chain:
+            alive[v] = False
+        tracklets.append(Tracklet(id=next_id, detections=tuple(nodes[v] for v in chain)))
+        next_id += 1
+    return tracklets
