@@ -2,7 +2,8 @@
 
 The link a -> b scores S = P_m ** lambda * P_a * C.  ``gate`` gives the
 binary limiting constraints C = c_t * c_e, ``appearance_score`` maps a
-pair's appearance distance product to P_a, ``assess_difficult`` flags
+pair's appearance distance product (each tracklet's mean learned
+distance to the other's probe) to P_a, ``assess_difficult`` flags
 occlusion-difficult tracklets, and ``link_score`` clamps P_m, applies
 the motion weight lambda (1 unless the pair is flagged) and returns
 (lambda, S, -log S).  All affinities are computed per local segment.  An
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from tracklink.dynamics import NEG_INF, motion_similarity
-from tracklink.metric import ProbeSet, TargetMetric, metric_distance
+from tracklink.metric import TargetMetric, metric_distance, probe
 from tracklink.model import (
     Box,
     ExitMap,
@@ -80,21 +81,21 @@ def appearance_distance_product(
     a: Tracklet,
     b: Tracklet,
     metrics: dict[int, TargetMetric],
-    probes: ProbeSet,
+    cfg: RunConfig,
 ) -> float:
+    """d_ab * d_ba: each tracklet's mean learned distance to the other's
+    probe (``metric.probe``)."""
     if a.id not in metrics or b.id not in metrics:
         raise ValueError(f"missing metric for tracklet pair ({a.id}, {b.id})")
-    if a.id not in probes or b.id not in probes:
-        raise ValueError(f"missing probe for tracklet pair ({a.id}, {b.id})")
-    d_ab = _mean_probe_distance(a, metrics[a.id], probes[b.id])
-    d_ba = _mean_probe_distance(b, metrics[b.id], probes[a.id])
+    d_ab = _mean_probe_distance(a, metrics[a.id], probe(b, cfg))
+    d_ba = _mean_probe_distance(b, metrics[b.id], probe(a, cfg))
     return d_ab * d_ba
 
 
-def _mean_probe_distance(t: Tracklet, metric: TargetMetric, probe) -> float:
+def _mean_probe_distance(t: Tracklet, metric: TargetMetric, anchor) -> float:
     total = 0.0
     for det in t.detections:
-        total += metric_distance(metric, det.feature, probe)
+        total += metric_distance(metric, det.feature, anchor)
     return total / len(t.detections)
 
 
@@ -195,7 +196,6 @@ def build_affinity_table(
     segment_index: int,
     pairs: list[tuple[Tracklet, Tracklet]],
     metrics: dict[int, TargetMetric],
-    probes: ProbeSet,
     flagged_ids: set[int],
     cfg: RunConfig,
     exit_map: ExitMap | None,
@@ -213,7 +213,7 @@ def build_affinity_table(
         c_t, c_e = gate(a, b, exit_map)
         product = None
         if use_appearance and c_t * c_e == 1:
-            product = appearance_distance_product(a, b, metrics, probes)
+            product = appearance_distance_product(a, b, metrics, cfg)
         staged.append((a, b, c_t, c_e, product))
     gamma = min((p for *_, p in staged if p is not None and p > 0.0), default=1.0)
     rows = []

@@ -11,16 +11,11 @@ trajectory are filled by linear box interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tracklink import affinity as aff
 from tracklink.flow import SINK, SOURCE, FlowGraph, solve_paths
-from tracklink.metric import (
-    ProbeSet,
-    build_probe_set,
-    learn_segment_metrics,
-    refine_tracklets,
-)
+from tracklink.metric import learn_segment_metrics, refine_tracklets
 from tracklink.model import Box, Detection, ExitMap, RunConfig, Tracklet, Trajectory
 from tracklink.tracklets import generate_initial_tracklets
 
@@ -116,14 +111,13 @@ def associate(
 
 @dataclass
 class TrackingResult:
+    """A run's output and what it was chosen from: the reliable
+    tracklets, the per-segment affinity tables and the flagged ids."""
+
     trajectories: list[Trajectory]
     reliable_tracklets: list[Tracklet]
     tables: list[aff.AffinityTable]
     flagged_ids: set[int]
-    exit_map: ExitMap | None
-    segments: list[tuple[int, int]]
-    metrics: dict = field(default_factory=dict)
-    probes: ProbeSet | None = None
 
 
 def infer_frame_size(detections: dict[int, list[Detection]], cfg: RunConfig):
@@ -148,7 +142,9 @@ def prepare_reliable_tracklets(
 ) -> TrackingResult:
     """Everything up to (not including) the global solve: initial
     tracklet generation, per-segment two-step metric learning with
-    refinement, difficult-pair assessment and affinity tables."""
+    refinement, difficult-pair assessment and affinity tables.  The
+    tables read each tracklet's reliable-phase metric from one map and
+    its probe from the tracklet itself (``metric.probe``)."""
     has_features = _has_features(detections)
     width, height = infer_frame_size(detections, cfg)
     exit_map = ExitMap.from_config(cfg, width, height) if width and height else None
@@ -161,10 +157,9 @@ def prepare_reliable_tracklets(
         per_segment[segment_index_of(t, cfg)].append(t)
 
     next_id = max((t.id for t in initial), default=0) + 1
-    # tracklet ids are unique across segments, so one metric map and one
-    # probe map serve every segment's table
+    # tracklet ids are unique across segments, so one metric map serves
+    # every segment's table
     metrics: dict = {}
-    probes: dict = {}
     reliable_per_segment: list[list[Tracklet]] = []
     for k in range(len(segments)):
         refined = per_segment[k]
@@ -173,10 +168,8 @@ def prepare_reliable_tracklets(
             next_id = max([next_id] + [t.id + 1 for t in refined])
             # second-step update on the reliable tracklets, executed once
             metrics.update(learn_segment_metrics(refined, "reliable", cfg, exit_map)[0])
-            probes.update(build_probe_set(refined, cfg).probes)
         reliable_per_segment.append(refined)
     reliable = [t for seg in reliable_per_segment for t in seg]
-    probe_set = ProbeSet(probes=probes)
 
     flagged_ids = aff.assess_difficult(reliable, cfg)
     tables = []
@@ -194,7 +187,6 @@ def prepare_reliable_tracklets(
                 k,
                 pairs,
                 metrics,
-                probe_set,
                 flagged_ids,
                 cfg,
                 exit_map,
@@ -206,10 +198,6 @@ def prepare_reliable_tracklets(
         reliable_tracklets=reliable,
         tables=tables,
         flagged_ids=flagged_ids,
-        exit_map=exit_map,
-        segments=segments,
-        metrics=metrics,
-        probes=probe_set,
     )
 
 

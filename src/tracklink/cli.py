@@ -81,17 +81,9 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
-def _load_inputs(args, cfg: RunConfig):
-    return load_detections(
-        args.det,
-        sidecar_path=args.features,
-        feature_dim=cfg.feature_dim if args.features else None,
-    )
-
-
 def cmd_track(args) -> int:
     cfg = _load_cfg(args)
-    detections = _load_inputs(args, cfg)
+    detections = load_detections(args.det, sidecar_path=args.features)
     state = track_sequence(detections, cfg, use_appearance=not args.no_appearance)
     write_trajectories(state.trajectories, args.out)
     if args.summary:
@@ -121,7 +113,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_learn_weights(args) -> int:
     cfg = _load_cfg(args)
-    detections = _load_inputs(args, cfg)
+    detections = load_detections(args.det, sidecar_path=args.features)
     gt = load_ground_truth(args.gt)
     state = prepare_reliable_tracklets(detections, cfg)
     lambda1, lambda2 = learn_weights(state.reliable_tracklets, gt, cfg, state.tables)
@@ -142,7 +134,7 @@ def cmd_synth(args) -> int:
 
 def cmd_dump_affinity(args) -> int:
     cfg = _load_cfg(args)
-    detections = _load_inputs(args, cfg)
+    detections = load_detections(args.det, sidecar_path=args.features)
     state = prepare_reliable_tracklets(detections, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

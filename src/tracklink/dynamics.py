@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from tracklink.model import Tracklet, temporal_overlap
+from tracklink.model import Tracklet
 
 log = logging.getLogger(__name__)
 
@@ -31,21 +30,14 @@ NEG_INF = float("-inf")
 SHORT_TRACKLET_SIMILARITY = 0.5
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    matrix: np.ndarray
-    columns: int
-    block_rows: int
-
-
 def hankel_columns(length: int) -> int:
     return length - math.ceil(length / 3) + 1
 
 
-def build_hankel(positions) -> HankelMatrix:
-    """Block-Hankel layout of a (length, 2) position sequence: block row
-    i, column j holds position i+j-2 (1-based), x coordinate on the
-    block's first row, y on the second."""
+def build_hankel(positions) -> np.ndarray:
+    """Block-Hankel layout of a (length, 2) position sequence as a
+    C-contiguous array: block row i, column j holds position i+j-2
+    (1-based), x coordinate on the block's first row, y on the second."""
     positions = np.ascontiguousarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (length, 2), got {positions.shape}")
@@ -61,14 +53,14 @@ def build_hankel(positions) -> HankelMatrix:
     windows = np.ndarray(
         (2 * block_rows, n), dtype=float, buffer=positions, strides=(item, 2 * item)
     )
-    return HankelMatrix(matrix=windows.copy(), columns=n, block_rows=block_rows)
+    return windows.copy()
 
 
-def estimate_rank(h: HankelMatrix, tau: float) -> int:
+def estimate_rank(matrix: np.ndarray, tau: float) -> int:
     """Numerical rank: singular values above tau times the largest."""
     if tau <= 0:
         raise ValueError("rank tolerance must be positive")
-    sv = np.linalg.svd(h.matrix, compute_uv=False)
+    sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tau * sv[0]))
@@ -99,12 +91,12 @@ def interpolate_gap(a: Tracklet, b: Tracklet) -> np.ndarray:
 def motion_similarity(a: Tracklet, b: Tracklet, tau: float) -> float:
     """Rank-ratio motion similarity of linking a -> b.
 
-    Returns -inf on temporal conflict.  Tracklets too short for a Hankel
-    window get the neutral fallback similarity.  Values outside [0, 1]
-    can occur when the joint rank under- or overshoots; they are logged
-    and passed through unclamped.
+    Returns -inf on temporal conflict (b does not start after a ends).
+    Tracklets too short for a Hankel window get the neutral fallback
+    similarity.  Values outside [0, 1] can occur when the joint rank
+    under- or overshoots; they are logged and passed through unclamped.
     """
-    if temporal_overlap(a, b) or b.start <= a.end:
+    if b.start <= a.end:
         return NEG_INF
     if a.length < 3 or b.length < 3:
         return SHORT_TRACKLET_SIMILARITY

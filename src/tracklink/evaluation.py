@@ -199,7 +199,7 @@ def learn_weights(
     reports: dict[tuple, MetricReport] = {}
 
     def run(lambda1: float, lambda2: float) -> MetricReport:
-        candidate_cfg = _with_lambdas(cfg, lambda1, lambda2)
+        candidate_cfg = replace(cfg, lambda1=lambda1, lambda2=lambda2)
         refit = [aff.refit_lambdas(tbl, candidate_cfg) for tbl in tables]
         key = tuple((r.i, r.j, r.score, r.cost) for t in refit for r in t.rows if r.flagged)
         report = reports.get(key)
@@ -229,7 +229,3 @@ def _better(candidate: MetricReport, incumbent: MetricReport) -> bool:
     if candidate.mota > incumbent.mota:
         return True
     return candidate.mota == incumbent.mota and candidate.ids < incumbent.ids
-
-
-def _with_lambdas(cfg: RunConfig, lambda1: float, lambda2: float) -> RunConfig:
-    return replace(cfg, lambda1=lambda1, lambda2=lambda2)

@@ -6,7 +6,9 @@ pairs, negatives from other tracklets passing the spatio-temporal /
 exit relevance constraints.  W is built one orthogonal column at a time
 by gradient descent on a summed logistic relative-distance loss.  The
 learned metrics then refine the tracklets: a run of ``split_run``
-consecutive frames too far from the tracklet's probe splits it.
+consecutive frames too far from the tracklet's probe splits it.  The
+probe is the tracklet's first strongest sample: the rule that picks the
+samples a tracklet learns from also picks its appearance anchor.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class TargetMetric:
     across columns."""
 
     tracklet_id: int
-    W: np.ndarray  # (feature_dim, r), columns pairwise orthogonal
+    W: np.ndarray  # (dim, r), columns pairwise orthogonal
     initial_loss: float = 0.0
     column_curves: tuple[tuple[float, ...], ...] = ()
 
@@ -50,21 +52,8 @@ class PairSet:
     """Absolute difference vectors for one target tracklet."""
 
     target_id: int
-    positives: np.ndarray  # (n_p, feature_dim)
-    negatives: np.ndarray  # (n_n, feature_dim)
-
-
-@dataclass(frozen=True)
-class ProbeSet:
-    """One appearance anchor (strongest detection's feature) per tracklet."""
-
-    probes: dict[int, np.ndarray]
-
-    def __getitem__(self, tracklet_id: int) -> np.ndarray:
-        return self.probes[tracklet_id]
-
-    def __contains__(self, tracklet_id: int) -> bool:
-        return tracklet_id in self.probes
+    positives: np.ndarray  # (n_p, dim)
+    negatives: np.ndarray  # (n_n, dim)
 
 
 def _strongest_samples(t: Tracklet, phase: str, cfg: RunConfig) -> list[Detection]:
@@ -119,13 +108,10 @@ def _sample_features(t: Tracklet, phase: str, cfg: RunConfig) -> np.ndarray:
     once per phase and sampling setting and kept in the tracklet's memo, so
     a segment's pair sets select each tracklet's samples once, not once
     per target."""
-    key = ("strongest_features", phase, cfg.probe_window, cfg.strongest_q, cfg.feature_dim)
+    key = ("strongest_features", phase, cfg.probe_window, cfg.strongest_q)
     if key not in t.memo:
-        samples = _strongest_samples(t, phase, cfg)
-        if samples:
-            feats = np.array([d.feature for d in samples], dtype=float)
-        else:
-            feats = np.empty((0, cfg.feature_dim))
+        # never empty: the pool always holds t's first detection
+        feats = np.array([d.feature for d in _strongest_samples(t, phase, cfg)], dtype=float)
         feats.flags.writeable = False
         t.memo[key] = feats
     return t.memo[key]
@@ -291,23 +277,10 @@ def _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve: list[floa
     return w, loss
 
 
-def identity_metric(tracklet_id: int, feature_dim: int) -> TargetMetric:
+def identity_metric(tracklet_id: int, dim: int) -> TargetMetric:
     """Fallback metric (plain squared Euclidean) for tracklets that have
     no admissible training pairs, e.g. a lone tracklet in its segment."""
-    return TargetMetric(tracklet_id=tracklet_id, W=np.eye(feature_dim))
-
-
-def dump_metric_debug(metrics: dict[int, TargetMetric], path):
-    """Write per-column norms and loss curves to CSV for inspection."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tracklet_id,column,norm,losses\n")
-        for tid in sorted(metrics):
-            m = metrics[tid]
-            for k in range(m.rank):
-                norm = float(np.linalg.norm(m.W[:, k]))
-                curve = m.column_curves[k] if k < len(m.column_curves) else ()
-                losses = ";".join(f"{v:.6g}" for v in curve)
-                fh.write(f"{tid},{k},{norm:.6g},{losses}\n")
+    return TargetMetric(tracklet_id=tracklet_id, W=np.eye(dim))
 
 
 def metric_distance(metric: TargetMetric, a: np.ndarray, b: np.ndarray) -> float:
@@ -320,19 +293,11 @@ def metric_distance(metric: TargetMetric, a: np.ndarray, b: np.ndarray) -> float
     return float(proj @ proj)
 
 
-def build_probe_set(tracklets: list[Tracklet], cfg: RunConfig) -> ProbeSet:
-    """Strongest detection feature within each tracklet's first
-    probe_window frames; score ties go to the earliest frame."""
-    if not tracklets:
-        raise ValueError("cannot build probes for an empty tracklet list")
-    probes = {}
-    for t in tracklets:
-        window = [d for d in t.detections if d.frame < t.start + cfg.probe_window]
-        best = max(window, key=lambda d: (d.score, -d.frame))
-        if best.feature is None:
-            raise ValueError(f"tracklet {t.id} has no features for probe selection")
-        probes[t.id] = best.feature
-    return ProbeSet(probes=probes)
+def probe(t: Tracklet, cfg: RunConfig) -> np.ndarray:
+    """t's appearance anchor: the feature of its first strongest sample,
+    the highest-scoring detection of its first probe_window frames (ties
+    go to the earliest frame)."""
+    return _sample_features(t, "initial", cfg)[0]
 
 
 def learn_segment_metrics(
@@ -374,17 +339,18 @@ def split_threshold(
 
 
 def _first_split_frame(
-    t: Tracklet, metric: TargetMetric, probe: np.ndarray, omega: float, run: int
+    t: Tracklet, metric: TargetMetric, cfg: RunConfig, omega: float
 ) -> int | None:
-    """Frame index starting the first run of ``run`` consecutive
-    above-threshold distances, or None."""
+    """Frame index starting the first run of ``split_run`` consecutive
+    distances to t's probe above omega, or None."""
+    anchor = probe(t, cfg)
     streak = 0
     for d in t.detections:
-        dist = metric_distance(metric, d.feature, probe)
+        dist = metric_distance(metric, d.feature, anchor)
         if dist > omega:
             streak += 1
-            if streak == run:
-                return d.frame - run + 1
+            if streak == cfg.split_run:
+                return d.frame - cfg.split_run + 1
         else:
             streak = 0
     return None
@@ -397,24 +363,24 @@ def refine_tracklets(
     next_id: int | None = None,
 ) -> list[Tracklet]:
     """Split appearance-inconsistent tracklets in up to cfg.refine_iters
-    passes; each pass learns initial-phase metrics and probes on the
-    current tracklets and takes its split threshold from the same
-    pairsets.  Split parts shorter than 2 frames are dropped; splitting
-    never merges tracklets or adds detections.
+    passes; each pass learns initial-phase metrics on the current
+    tracklets, measures each one's detections against its probe and
+    takes its split threshold from the same pairsets.  Split parts
+    shorter than 2 frames are dropped; splitting never merges tracklets
+    or adds detections.
     """
     current = list(tracklets)
     if next_id is None:
         next_id = max((t.id for t in current), default=0) + 1
     for _ in range(cfg.refine_iters):
         metrics, pairsets = learn_segment_metrics(current, "initial", cfg, exit_map)
-        probes = build_probe_set(current, cfg)
         omega = cfg.distance_threshold
         if omega is None:
             omega = split_threshold(metrics, pairsets)
         refined: list[Tracklet] = []
         changed = False
         for t in current:
-            split_at = _first_split_frame(t, metrics[t.id], probes[t.id], omega, cfg.split_run)
+            split_at = _first_split_frame(t, metrics[t.id], cfg, omega)
             if split_at is None or split_at <= t.start:
                 refined.append(t)
                 continue

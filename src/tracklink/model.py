@@ -143,7 +143,6 @@ class RunConfig:
     lambda2: float = 0.2
     exit_band_frac: float = 0.05
     entry_exit_prob: float = 0.1
-    feature_dim: int = 32
     rng_seed: int = 0
     det_threshold: float = 0.6
     frame_width: float = 0.0
@@ -152,6 +151,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 <= self.lambda1 <= 1.0 and 0.0 <= self.lambda2 <= 1.0):
             raise ValueError("lambda1/lambda2 must lie in [0, 1]")
+        if self.probe_window < 1 or self.strongest_q < 1:
+            raise ValueError("probe_window and strongest_q must be at least 1")
         if self.segment_len < 2 * self.probe_window:
             raise ValueError("segment_len must be at least twice probe_window")
         if not (0.0 < self.overlap_eta < 1.0):

@@ -56,9 +56,7 @@ def _det_order(frame: int, box: Box, score: float) -> tuple:
 
 
 def load_detections(
-    path: str | Path,
-    sidecar_path: str | Path | None = None,
-    feature_dim: int | None = None,
+    path: str | Path, sidecar_path: str | Path | None = None
 ) -> dict[int, list[Detection]]:
     """Load raw detections grouped by frame, sorted by
     (frame, x, y, w, h, score).
@@ -69,7 +67,8 @@ def load_detections(
     callers feeding raw detector output must pre-normalize.  When
     ``sidecar_path`` is given, a feature vector is attached to every
     detection; the sidecar indexes detections by their position inside
-    the sorted frame group.
+    the sorted frame group.  The sidecar's first row sets the feature
+    size; a row of another width is rejected.
     """
     path = Path(path)
     raw: list[tuple[int, int | None, Box, float]] = []
@@ -93,7 +92,7 @@ def load_detections(
                 )
             raw.append((frame, ident if ident >= 1 else None, (x, y, w, h), score))
     raw.sort(key=lambda r: _det_order(r[0], r[2], r[3]))
-    features = _load_sidecar(sidecar_path, feature_dim) if sidecar_path else None
+    features = _load_sidecar(sidecar_path) if sidecar_path else None
     by_frame: dict[int, list[Detection]] = {}
     for frame, ident, box, score in raw:
         group = by_frame.setdefault(frame, [])
@@ -117,10 +116,9 @@ def load_detections(
     return by_frame
 
 
-def _load_sidecar(
-    path: str | Path, feature_dim: int | None
-) -> dict[tuple[int, int], np.ndarray]:
+def _load_sidecar(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
     path = Path(path)
+    width = None
     features: dict[tuple[int, int], np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -131,11 +129,11 @@ def _load_sidecar(
             frame = _integral(vals[0], "frame", lineno, path)
             idx = _integral(vals[1], "index", lineno, path)
             vec = np.asarray(vals[2:], dtype=float)
-            if feature_dim is None:
-                feature_dim = vec.size
-            if vec.size != feature_dim:
+            if width is None:
+                width = vec.size
+            if vec.size != width:
                 raise ParseError(
-                    f"{path}:{lineno}: feature dimension {vec.size} != expected {feature_dim}"
+                    f"{path}:{lineno}: feature dimension {vec.size} != first row's {width}"
                 )
             if (frame, idx) in features:
                 raise ParseError(f"{path}:{lineno}: duplicate feature row ({frame}, {idx})")
@@ -177,19 +175,9 @@ def load_ground_truth(path: str | Path) -> dict[int, list[tuple[int, Box]]]:
 
 
 def write_trajectories(trajectories: list[Trajectory], path: str | Path):
-    """Write result rows (frame, track_id, x, y, w, h, 1, -1, -1, -1)
-    sorted by (frame, track_id); gap frames appear via interpolation."""
-    rows = []
-    for traj in trajectories:
-        for frame, box in traj.interpolated:
-            rows.append((frame, traj.id, box))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for frame, tid, (x, y, w, h) in rows:
-            fh.write(
-                f"{frame},{tid},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},1,-1,-1,-1\n"
-            )
+    """Write a result in the ground-truth format (``write_ground_truth``),
+    one track per trajectory; gap frames appear via interpolation."""
+    write_ground_truth(result_view(trajectories), path)
 
 
 def write_detections(
@@ -223,6 +211,8 @@ def write_detections(
 
 
 def write_ground_truth(gt: dict[int, list[tuple[int, Box]]], path: str | Path):
+    """Write rows (frame, id, x, y, w, h, 1, -1, -1, -1) sorted by
+    (frame, id)."""
     rows = []
     for ident, track in gt.items():
         for frame, box in track:

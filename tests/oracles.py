@@ -4,11 +4,12 @@ These deliberately share no code with the production solvers: the flow
 oracles enumerate node-disjoint path covers by exponential subset DP or
 solve a dense n x n assignment over link gains, the grid oracle scans
 unit directions.  The metric references keep the plain descent and pair
-loops that the production metric learning must match bit for bit; the
-motion reference keeps the three-SVD rank ratio built from tuples, the
-difficulty reference tests every pair of tracklets, and the initial
-tracklet reference runs the greedy extraction over the whole scene with
-a scalar gate.
+loops that the production metric learning must match bit for bit, and
+the probe reference takes a max over (score, -frame) in place of the
+sample sort; the motion reference keeps the three-SVD rank ratio built
+from tuples, the difficulty reference tests every pair of tracklets, and
+the initial tracklet reference runs the greedy extraction over the whole
+scene with a scalar gate.
 """
 
 from __future__ import annotations
@@ -236,11 +237,19 @@ def reference_collect_pairs(target, others, phase, cfg, exit_map=None):
         for od in _strongest_samples(other, phase, cfg):
             for z in feats:
                 negatives.append(np.abs(z - od.feature))
-    dim = feats[0].size if feats else cfg.feature_dim
+    dim = feats[0].size
     return (
         np.asarray(positives, dtype=float).reshape(-1, dim),
         np.asarray(negatives, dtype=float).reshape(-1, dim),
     )
+
+
+def reference_probe(t, cfg):
+    """Strongest detection feature within the tracklet's first
+    probe_window frames; score ties go to the earliest frame."""
+    window = [d for d in t.detections if d.frame < t.start + cfg.probe_window]
+    best = max(window, key=lambda d: (d.score, -d.frame))
+    return best.feature
 
 
 def reference_logistic_loss(a):

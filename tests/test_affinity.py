@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import tracklink.dynamics as dynamics
 from tracklink import affinity as aff
 from tracklink.dynamics import NEG_INF
-from tracklink.metric import ProbeSet, identity_metric, learn_segment_metrics, build_probe_set
+from tracklink.metric import identity_metric, learn_segment_metrics
 from tracklink.model import ExitMap, RunConfig
 
 from conftest import cluster_features, line_tracklet, make_tracklet, two_cluster_centers
@@ -45,9 +45,9 @@ class TestLimiting:
         assert aff.gate(earlier, later, self.exit_map) == (1, 1)
 
 
-def _p_a(a, b, metrics, probes):
+def _p_a(a, b, metrics, cfg=RunConfig()):
     """P_a of a -> b at gamma = 1."""
-    return aff.appearance_score(aff.appearance_distance_product(a, b, metrics, probes), 1.0)
+    return aff.appearance_score(aff.appearance_distance_product(a, b, metrics, cfg), 1.0)
 
 
 class TestAppearance:
@@ -61,9 +61,8 @@ class TestAppearance:
             third = feature_tracklet(3, 20, 12, cB, r, y=200.0)
             tracklets = [a, b, third]
             metrics, _ = learn_segment_metrics(tracklets, "reliable", RunConfig())
-            probes = build_probe_set(tracklets, RunConfig())
-            same = _p_a(a, b, metrics, probes)
-            cross = _p_a(a, third, metrics, probes)
+            same = _p_a(a, b, metrics)
+            cross = _p_a(a, third, metrics)
             wins += same > cross
         assert wins >= 38  # >= 95% of seeds
 
@@ -73,9 +72,8 @@ class TestAppearance:
         a = make_tracklet(1, 1, centers=[(50 + i, 60) for i in range(6)], features=feats)
         b = make_tracklet(2, 10, centers=[(80 + i, 60) for i in range(6)], features=feats)
         metrics = {1: identity_metric(1, cA.size), 2: identity_metric(2, cA.size)}
-        probes = ProbeSet(probes={1: cA.copy(), 2: cA.copy()})
-        assert aff.appearance_distance_product(a, b, metrics, probes) == 0.0
-        assert _p_a(a, b, metrics, probes) == 1.0
+        assert aff.appearance_distance_product(a, b, metrics, RunConfig()) == 0.0
+        assert _p_a(a, b, metrics) == 1.0
 
     def test_missing_product_and_cap(self):
         assert aff.appearance_score(None, 0.5) == 1.0
@@ -87,7 +85,7 @@ class TestAppearance:
         a = feature_tracklet(1, 1, 4, cA, rng)
         b = feature_tracklet(2, 10, 4, cA, rng)
         with pytest.raises(ValueError, match="missing metric"):
-            aff.appearance_distance_product(a, b, {}, ProbeSet(probes={}))
+            aff.appearance_distance_product(a, b, {}, RunConfig())
 
 
 class TestAssessDifficult:
@@ -203,12 +201,8 @@ class TestTableAssembly:
         tracklets = [t1, t2, t3]
         cfg = RunConfig()
         metrics, _ = learn_segment_metrics(tracklets, "reliable", cfg)
-        probes = build_probe_set(tracklets, cfg)
         pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, cfg)
-        table = aff.build_affinity_table(
-            0, pairs, metrics, probes, set(), cfg, None, use_appearance=True
-        )
-        return table
+        return aff.build_affinity_table(0, pairs, metrics, set(), cfg, None, use_appearance=True)
 
     def test_best_pair_p_a_is_exactly_one(self, rng):
         table = self._segment(rng)
@@ -229,9 +223,8 @@ class TestTableAssembly:
         cfg = RunConfig()
         exit_map = ExitMap(width=640, height=480, band=24.0)
         metrics = {1: identity_metric(1, cA.size), 2: identity_metric(2, cA.size)}
-        probes = build_probe_set([exiting, later], cfg)
         pairs = aff.candidate_pairs([exiting, later], [], (1, 50), None, cfg)
-        table = aff.build_affinity_table(0, pairs, metrics, probes, set(), cfg, exit_map)
+        table = aff.build_affinity_table(0, pairs, metrics, set(), cfg, exit_map)
         closed = [row for row in table.rows if row.c_e == 0]
         assert closed, "exit-band row expected"
         graph = build_association_graph([exiting, later], [table], cfg)
@@ -267,11 +260,10 @@ class TestTableAssembly:
             feature_tracklet(4, 40, 8, cB, rng, y=300.0),
         ]
         metrics, _ = learn_segment_metrics(tracklets, "reliable", RunConfig())
-        probes = build_probe_set(tracklets, RunConfig())
         pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, RunConfig())
 
         def build(cfg):
-            return aff.build_affinity_table(0, pairs, metrics, probes, {2, 4}, cfg, None)
+            return aff.build_affinity_table(0, pairs, metrics, {2, 4}, cfg, None)
 
         return build
 
@@ -313,9 +305,7 @@ class TestTableAssembly:
         ]
         cfg = RunConfig()
         pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, cfg)
-        table = aff.build_affinity_table(
-            0, pairs, {}, None, set(), cfg, None, use_appearance=False
-        )
+        table = aff.build_affinity_table(0, pairs, {}, set(), cfg, None, use_appearance=False)
         assert len(table.rows) == len(pairs) > len(tracklets)
         assert len(calls) <= len(table.rows) + len({t.id for t in tracklets})
         by_id = {t.id: t for t in tracklets}

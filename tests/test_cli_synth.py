@@ -147,6 +147,20 @@ class TestCli:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["ids"] == 0
 
+    def test_track_takes_feature_size_from_sidecar(self, tmp_path):
+        # no config: the sidecar's first row sets the feature size
+        scn = scenario_json(tmp_path, crossing_spec(feature_dim=16))
+        out = tmp_path / "data"
+        assert main(["synth", "--scenario", str(scn), "--out-dir", str(out)]) == 0
+        first = (out / "features.csv").read_text().splitlines()[0]
+        assert len(first.split(",")) == 2 + 16
+        result = tmp_path / "result.csv"
+        assert main([
+            "track", "--det", str(out / "detections.csv"),
+            "--features", str(out / "features.csv"), "--out", str(result),
+        ]) == 0
+        assert load_ground_truth(result)
+
     def test_track_determinism(self, tmp_path):
         scn = scenario_json(tmp_path, crossing_spec())
         out = tmp_path / "data"

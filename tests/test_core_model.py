@@ -89,6 +89,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             RunConfig(distance_threshold=-1.0)
 
+    @pytest.mark.parametrize(
+        "fields", [{"segment_len": 0, "probe_window": 0}, {"probe_window": -1}, {"strongest_q": 0}]
+    )
+    def test_config_rejects_empty_sample_window(self, fields):
+        # a zero probe window would admit a zero segment_len, on which
+        # segment partitioning never advances; zero samples leave no probe
+        with pytest.raises(ValueError, match="at least 1"):
+            RunConfig(**fields)
+
     def test_config_defaults_match_defaults_in_use(self):
         cfg = RunConfig()
         assert cfg.segment_len == 50

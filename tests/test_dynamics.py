@@ -44,11 +44,11 @@ class TestHankelShape:
 
     def test_matrix_shape(self):
         h = build_hankel(seq(line_points(9)))
-        assert h.matrix.shape == (2 * (9 - 7 + 1), 7)
+        assert h.shape == (2 * (9 - 7 + 1), 7)
 
     def test_constant_sequence_columns_identical(self):
         h = build_hankel(seq([(5.0, 5.0)] * 8))
-        assert np.all(h.matrix == h.matrix[:, :1])
+        assert np.all(h == h[:, :1])
 
     def test_anti_diagonal_block_structure(self):
         # explicit layout on a line and on random sequences of length 3-40
@@ -60,13 +60,14 @@ class TestHankelShape:
         for pts in sequences:
             h = build_hankel(seq(pts))
             n = hankel_columns(len(pts))
-            assert (h.columns, h.block_rows) == (n, len(pts) - n + 1)
-            expected = np.empty((2 * h.block_rows, n))
-            for i in range(h.block_rows):
+            block_rows = len(pts) - n + 1
+            assert h.shape == (2 * block_rows, n)
+            expected = np.empty((2 * block_rows, n))
+            for i in range(block_rows):
                 for j in range(n):
                     expected[2 * i, j], expected[2 * i + 1, j] = pts[i + j]
-            assert h.matrix.flags.c_contiguous
-            assert np.array_equal(h.matrix, expected)
+            assert h.flags.c_contiguous
+            assert np.array_equal(h, expected)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -249,7 +250,7 @@ class TestReferenceEquivalence:
             joint = interpolate_gap(a, b)
             assert joint.tolist() == [list(p) for p in reference_joint_centers(a, b)]
             if len(joint) >= 3:
-                assert np.array_equal(build_hankel(joint).matrix, reference_hankel(joint.tolist()))
+                assert np.array_equal(build_hankel(joint), reference_hankel(joint.tolist()))
         for tau in (TAU, 0.1, TAU):  # a second tolerance, then the memo again
             got = motion_similarity(a, b, tau)
             assert got == reference_motion_similarity(a, b, tau)

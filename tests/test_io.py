@@ -64,8 +64,9 @@ class TestLoadDetections:
         dets = load_detections(det, sidecar_path=feat)
         assert np.allclose(dets[1][0].feature, [1, 2, 3])
         assert np.allclose(dets[1][1].feature, [4, 5, 6])
-        with pytest.raises(ParseError, match="dimension"):
-            load_detections(det, sidecar_path=feat, feature_dim=5)
+        ragged = write(tmp_path, "g.csv", "1,0,1,2,3\n1,1,4,5,6,7,8\n")
+        with pytest.raises(ParseError, match=r"g\.csv:2: feature dimension 5 != first row's 3"):
+            load_detections(det, sidecar_path=ragged)
 
     def test_sidecar_missing_row(self, tmp_path):
         det = write(tmp_path, "d.csv", "1,-1,10,10,5,5,0.9\n1,-1,30,10,5,5,0.8\n")
@@ -242,6 +243,11 @@ class TestConfig:
     def test_invalid_value_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="invalid configuration"):
             load_config(write(tmp_path, "c.cfg", "lambda1=1.4\n"))
+
+    @pytest.mark.parametrize("text", ["segment_len=0\nprobe_window=0\n", "strongest_q=0\n"])
+    def test_empty_sample_window_rejected(self, tmp_path, text):
+        with pytest.raises(ParseError, match="invalid configuration: .* at least 1"):
+            load_config(write(tmp_path, "c.cfg", text))
 
     def test_dump_round_trip(self, tmp_path):
         cfg = RunConfig(segment_len=30, probe_window=5, rng_seed=9)

@@ -9,12 +9,12 @@ import tracklink.metric as metric_module
 from tracklink.metric import (
     _PAIR_CAP,
     PairSet,
-    build_probe_set,
     collect_pairs,
     identity_metric,
     learn_metric,
     learn_segment_metrics,
     metric_distance,
+    probe,
     refine_tracklets,
 )
 from tracklink.model import ExitMap, RunConfig
@@ -24,6 +24,7 @@ from oracles import (
     reference_collect_pairs,
     reference_learn_metric,
     reference_logistic_loss,
+    reference_probe,
     reference_sigmoid,
 )
 
@@ -116,8 +117,7 @@ class TestLearnMetric:
         pos = np.column_stack([np.abs(rng.normal(0, 1, 40)), np.full(40, 1e-3)])
         neg = np.column_stack([np.full(40, 1e-3), np.abs(rng.normal(2, 0.5, 40))])
         assert grid_search_separating_direction(pos, neg) == 1.0
-        cfg = RunConfig(feature_dim=2)
-        metric = learn_metric(PairSet(target_id=1, positives=pos, negatives=neg), cfg)
+        metric = learn_metric(PairSet(target_id=1, positives=pos, negatives=neg), RunConfig())
         held_pos = np.column_stack([np.abs(rng.normal(0, 1, 50)), np.full(50, 1e-3)])
         held_neg = np.column_stack([np.full(50, 1e-3), np.abs(rng.normal(2, 0.5, 50))])
         dp = np.sum((held_pos @ metric.W) ** 2, axis=1)
@@ -153,19 +153,6 @@ class TestLearnMetric:
             learn_metric(PairSet(1, vecs, empty), RunConfig())
         with pytest.raises(ValueError, match="no positive"):
             learn_metric(PairSet(1, empty, vecs), RunConfig())
-
-    def test_debug_dump(self, rng, tmp_path):
-        from tracklink.metric import dump_metric_debug
-
-        cA, cB = two_cluster_centers(rng)
-        pos = np.abs(rng.normal(0, 1.4, (6, 32)))
-        neg = np.abs((cA - cB) + rng.normal(0, 1.4, (20, 32)))
-        metric = learn_metric(PairSet(target_id=4, positives=pos, negatives=neg), RunConfig())
-        out = tmp_path / "debug.csv"
-        dump_metric_debug({4: metric}, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "tracklet_id,column,norm,losses"
-        assert len(lines) == 1 + metric.rank
 
 
 class TestReferenceEquivalence:
@@ -204,7 +191,7 @@ class TestReferenceEquivalence:
     def test_separable_2d_toy(self, rng):
         pos = np.column_stack([np.abs(rng.normal(0, 1, 40)), np.full(40, 1e-3)])
         neg = np.column_stack([np.full(40, 1e-3), np.abs(rng.normal(2, 0.5, 40))])
-        self._assert_same_metric(pos, neg, cfg=RunConfig(feature_dim=2))
+        self._assert_same_metric(pos, neg)
 
     def test_armijo_halvings_decided_by_bound(self, rng, monkeypatch):
         pos, neg = self._cluster_pairs(rng, 10, 200, 3.0)
@@ -304,20 +291,36 @@ class TestProbes:
     def test_argmax_score(self, rng):
         cA, _ = two_cluster_centers(rng)
         t = feature_tracklet(1, 1, 3, cA, rng, scores=[0.5, 0.9, 0.7])
-        probes = build_probe_set([t], RunConfig())
-        assert np.allclose(probes[1], t.detections[1].feature)
+        assert np.array_equal(probe(t, RunConfig()), t.detections[1].feature)
 
     def test_short_tracklet_uses_full_window(self, rng):
         cA, _ = two_cluster_centers(rng)
         t = feature_tracklet(1, 1, 3, cA, rng, scores=[0.6, 0.61, 0.62])
-        probes = build_probe_set([t], RunConfig(probe_window=8, segment_len=50))
-        assert np.allclose(probes[1], t.detections[2].feature)
+        cfg = RunConfig(probe_window=8, segment_len=50)
+        assert np.array_equal(probe(t, cfg), t.detections[2].feature)
 
     def test_tie_goes_to_earliest(self, rng):
         cA, _ = two_cluster_centers(rng)
         t = feature_tracklet(1, 1, 4, cA, rng, scores=[0.8, 0.8, 0.8, 0.8])
-        probes = build_probe_set([t], RunConfig())
-        assert np.allclose(probes[1], t.detections[0].feature)
+        assert np.array_equal(probe(t, RunConfig()), t.detections[0].feature)
+
+    @given(
+        start=st.integers(1, 200),
+        scores=st.lists(st.sampled_from([0.2, 0.5, 0.7, 0.9]), min_size=1, max_size=20),
+        probe_window=st.integers(1, 12),
+        strongest_q=st.integers(1, 6),
+    )
+    def test_equals_reference_probe(self, start, scores, probe_window, strongest_q):
+        """The first strongest sample is the max over (score, -frame) of the
+        probe window, bit for bit: ties, equal scores, tracklets shorter
+        than the window and every sample count."""
+        rng = np.random.default_rng(len(scores))
+        feats = [rng.normal(size=3) for _ in scores]
+        t = make_tracklet(1, start, length=len(scores), scores=scores, features=feats)
+        cfg = RunConfig(
+            probe_window=probe_window, strongest_q=strongest_q, segment_len=2 * probe_window
+        )
+        assert probe(t, cfg).tobytes() == reference_probe(t, cfg).tobytes()
 
 
 class TestRefinement:
@@ -372,7 +375,7 @@ def _assert_identity_metric_and_zero_probe(t, cfg):
     the identity metric for it; its probe is the zero first feature."""
     metrics, _ = learn_segment_metrics([t], "initial", cfg)
     assert np.array_equal(metrics[t.id].W, identity_metric(t.id, 2).W)
-    assert np.array_equal(build_probe_set([t], cfg)[t.id], np.zeros(2))
+    assert np.array_equal(probe(t, cfg), np.zeros(2))
 
 
 def _run_swap_case(rng, swap_at, length=30):
