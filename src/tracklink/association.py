@@ -11,6 +11,10 @@ trajectory are filled by linear box interpolation.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from tracklink import affinity as aff
@@ -135,6 +139,27 @@ def _has_features(detections: dict[int, list[Detection]]) -> bool:
     return all(d.feature is not None for dets in detections.values() for d in dets)
 
 
+def _metric_pool(has_features: bool) -> ProcessPoolExecutor | None:
+    """The pool a run learns its target metrics in: one worker per usable
+    CPU, started by ``fork`` on the first descent handed to it.  Forked
+    workers inherit the loaded modules and the BLAS setting, so each
+    descent computes the same bits as in this process, and a caller
+    script needs no ``__main__`` guard.  None, and every descent runs
+    here, without features, on one usable CPU, where the platform cannot
+    fork, inside a daemonic process (which may not start processes), or
+    while other threads run (a fork copies the locks they hold)."""
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if (
+        not has_features
+        or workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def prepare_reliable_tracklets(
     detections: dict[int, list[Detection]],
     cfg: RunConfig,
@@ -144,7 +169,11 @@ def prepare_reliable_tracklets(
     tracklet generation, per-segment two-step metric learning with
     refinement, difficult-pair assessment and affinity tables.  The
     tables read each tracklet's reliable-phase metric from one map and
-    its probe from the tracklet itself (``metric.probe``)."""
+    its probe from the tracklet itself (``metric.probe``).
+
+    A segment's descents run in parallel in one process pool
+    (``_metric_pool``), which is shut down before this returns or
+    raises; the output does not depend on the number of workers."""
     has_features = _has_features(detections)
     width, height = infer_frame_size(detections, cfg)
     exit_map = ExitMap.from_config(cfg, width, height) if width and height else None
@@ -161,14 +190,22 @@ def prepare_reliable_tracklets(
     # every segment's table
     metrics: dict = {}
     reliable_per_segment: list[list[Tracklet]] = []
-    for k in range(len(segments)):
-        refined = per_segment[k]
-        if refined and has_features:
-            refined = refine_tracklets(refined, cfg, exit_map=exit_map, next_id=next_id)
-            next_id = max([next_id] + [t.id + 1 for t in refined])
-            # second-step update on the reliable tracklets, executed once
-            metrics.update(learn_segment_metrics(refined, "reliable", cfg, exit_map)[0])
-        reliable_per_segment.append(refined)
+    pool = _metric_pool(has_features)
+    try:
+        for k in range(len(segments)):
+            refined = per_segment[k]
+            if refined and has_features:
+                refined = refine_tracklets(
+                    refined, cfg, exit_map=exit_map, next_id=next_id, executor=pool
+                )
+                next_id = max([next_id] + [t.id + 1 for t in refined])
+                # second-step update on the reliable tracklets, executed once
+                learned = learn_segment_metrics(refined, "reliable", cfg, exit_map, executor=pool)
+                metrics.update(learned[0])
+            reliable_per_segment.append(refined)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     reliable = [t for seg in reliable_per_segment for t in seg]
 
     flagged_ids = aff.assess_difficult(reliable, cfg)

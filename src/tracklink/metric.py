@@ -14,7 +14,9 @@ samples a tracklet learns from also picks its appearance anchor.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -305,19 +307,28 @@ def learn_segment_metrics(
     phase: str,
     cfg: RunConfig,
     exit_map: ExitMap | None = None,
+    executor: Executor | None = None,
 ) -> tuple[dict[int, TargetMetric], dict[int, PairSet]]:
     """Learn one metric per tracklet of a segment, falling back to the
-    identity metric when a tracklet has no admissible pairs."""
-    metrics: dict[int, TargetMetric] = {}
+    identity metric when a tracklet has no admissible pairs.
+
+    Every pair set is built here first.  One target's descent reads
+    nothing of another's, so ``learn_metric`` is mapped over them through
+    ``executor.map`` when an executor is given and at least two targets
+    learn, and through the built-in ``map`` otherwise.  Results are keyed
+    in tracklet order, so the output does not depend on where each
+    descent ran."""
     pairsets: dict[int, PairSet] = {}
     for t in tracklets:
         pairs = collect_pairs(t, tracklets, phase, cfg, exit_map=exit_map)
-        if len(pairs.positives) == 0 or len(pairs.negatives) == 0:
-            dim = t.detections[0].feature.size
-            metrics[t.id] = identity_metric(t.id, dim)
-            continue
-        metrics[t.id] = learn_metric(pairs, cfg)
-        pairsets[t.id] = pairs
+        if len(pairs.positives) and len(pairs.negatives):
+            pairsets[t.id] = pairs
+    mapper = map if executor is None or len(pairsets) < 2 else executor.map
+    learned = dict(zip(pairsets, mapper(learn_metric, pairsets.values(), repeat(cfg))))
+    metrics = {
+        t.id: learned.get(t.id) or identity_metric(t.id, t.detections[0].feature.size)
+        for t in tracklets
+    }
     return metrics, pairsets
 
 
@@ -361,19 +372,23 @@ def refine_tracklets(
     cfg: RunConfig,
     exit_map: ExitMap | None = None,
     next_id: int | None = None,
+    executor: Executor | None = None,
 ) -> list[Tracklet]:
     """Split appearance-inconsistent tracklets in up to cfg.refine_iters
     passes; each pass learns initial-phase metrics on the current
     tracklets, measures each one's detections against its probe and
     takes its split threshold from the same pairsets.  Split parts
     shorter than 2 frames are dropped; splitting never merges tracklets
-    or adds detections.
+    or adds detections.  ``executor`` is passed on to
+    ``learn_segment_metrics``.
     """
     current = list(tracklets)
     if next_id is None:
         next_id = max((t.id for t in current), default=0) + 1
     for _ in range(cfg.refine_iters):
-        metrics, pairsets = learn_segment_metrics(current, "initial", cfg, exit_map)
+        metrics, pairsets = learn_segment_metrics(
+            current, "initial", cfg, exit_map, executor=executor
+        )
         omega = cfg.distance_threshold
         if omega is None:
             omega = split_threshold(metrics, pairsets)

@@ -155,6 +155,12 @@ class RunConfig:
             raise ValueError("probe_window and strongest_q must be at least 1")
         if self.segment_len < 2 * self.probe_window:
             raise ValueError("segment_len must be at least twice probe_window")
+        if self.split_run < 1:
+            raise ValueError("split_run must be at least 1")
+        if self.refine_iters < 0 or self.gap_bound < 0:
+            raise ValueError("refine_iters and gap_bound must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if not (0.0 < self.overlap_eta < 1.0):
             raise ValueError("overlap_eta must lie strictly between 0 and 1")
         if self.rank_tol <= 0.0:

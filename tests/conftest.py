@@ -1,3 +1,6 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,12 @@ def two_cluster_centers(rng, dim=32, sep_radius=4.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+requires_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+def fork_pool(workers=2):
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

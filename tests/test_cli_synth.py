@@ -223,6 +223,20 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        scn = scenario_json(tmp_path, crossing_spec())
+        out = tmp_path / "data"
+        assert main(["synth", "--scenario", str(scn), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        code = main([
+            "track", "--det", str(out / "detections.csv"),
+            "--features", str(out / "features.csv"),
+            "--out", str(tmp_path / "r.csv"), "--seed", "-1",
+        ])
+        assert code == 1
+        assert "rng_seed" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_malformed_input_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,-1,10,10,-5,5,0.9\n", encoding="utf-8")

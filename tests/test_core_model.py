@@ -98,6 +98,23 @@ class TestTypes:
         with pytest.raises(ValueError, match="at least 1"):
             RunConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"split_run": 0}, "split_run"),  # refinement would never split
+            ({"split_run": -3}, "split_run"),
+            ({"refine_iters": -1}, "refine_iters"),
+            ({"gap_bound": -5}, "gap_bound"),
+            ({"rng_seed": -1}, "rng_seed"),  # numpy seeds only from n >= 0
+        ],
+    )
+    def test_config_rejects_values_that_break_the_run(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**fields)
+
+    def test_config_accepts_the_lowest_valid_values(self):
+        RunConfig(split_run=1, refine_iters=0, gap_bound=0, rng_seed=0)
+
     def test_config_defaults_match_defaults_in_use(self):
         cfg = RunConfig()
         assert cfg.segment_len == 50

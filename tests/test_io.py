@@ -249,6 +249,19 @@ class TestConfig:
         with pytest.raises(ParseError, match="invalid configuration: .* at least 1"):
             load_config(write(tmp_path, "c.cfg", text))
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("split_run=0\n", "split_run"),
+            ("refine_iters=-1\n", "refine_iters"),
+            ("gap_bound=-5\n", "gap_bound"),
+            ("rng_seed=-1\n", "rng_seed"),
+        ],
+    )
+    def test_values_that_break_the_run_rejected(self, tmp_path, text, name):
+        with pytest.raises(ParseError, match=f"invalid configuration: .*{name}"):
+            load_config(write(tmp_path, "c.cfg", text))
+
     def test_dump_round_trip(self, tmp_path):
         cfg = RunConfig(segment_len=30, probe_window=5, rng_seed=9)
         path = tmp_path / "c.cfg"

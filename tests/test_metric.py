@@ -19,7 +19,13 @@ from tracklink.metric import (
 )
 from tracklink.model import ExitMap, RunConfig
 
-from conftest import cluster_features, make_tracklet, two_cluster_centers
+from conftest import (
+    cluster_features,
+    fork_pool,
+    make_tracklet,
+    requires_fork,
+    two_cluster_centers,
+)
 from oracles import (
     reference_collect_pairs,
     reference_learn_metric,
@@ -250,6 +256,70 @@ _margins = arrays(
 )
 
 
+@requires_fork
+class TestExecutor:
+    """Descents mapped through a process pool return the in-process bits,
+    keyed in tracklet order."""
+
+    @staticmethod
+    def _segment(rng):
+        cA, cB = two_cluster_centers(rng)
+        tracklets = [
+            feature_tracklet(tid, tid, 12, cA if tid % 2 else cB, rng, x0=60.0 * tid)
+            for tid in range(1, 5)
+        ]
+        # one detection: no positive pairs, so an identity fallback
+        # between learned targets
+        lone = feature_tracklet(9, 3, 1, cA, rng, x0=500.0)
+        return tracklets[:2] + [lone] + tracklets[2:]
+
+    @pytest.mark.parametrize("phase", ["initial", "reliable"])
+    @pytest.mark.parametrize("strongest_q, capped", [(4, False), (8, True)])
+    def test_pool_equals_in_process(self, rng, phase, strongest_q, capped):
+        cfg = RunConfig(strongest_q=strongest_q, rng_seed=5)
+        tracklets = self._segment(rng)
+        local = learn_segment_metrics(tracklets, phase, cfg)
+        with fork_pool() as pool:
+            pooled = learn_segment_metrics(tracklets, phase, cfg, executor=pool)
+        pairings = [len(p.positives) * len(p.negatives) for p in local[1].values()]
+        assert all((n > _PAIR_CAP) == capped for n in pairings)
+        assert list(local[0]) == list(pooled[0]) == [1, 2, 9, 3, 4]
+        assert list(local[1]) == list(pooled[1]) == [1, 2, 3, 4]
+        for tid, metric in local[0].items():
+            other = pooled[0][tid]
+            assert np.array_equal(metric.W, other.W)
+            assert metric.initial_loss == other.initial_loss
+            assert metric.column_curves == other.column_curves
+        assert local[0][9].column_curves == ()
+
+    def test_single_target_stays_in_process(self, rng):
+        class Refusing:
+            def map(self, *args):
+                raise AssertionError("one target must not reach the executor")
+
+        cA, cB = two_cluster_centers(rng)
+        target = feature_tracklet(1, 1, 12, cA, rng)
+        lone = feature_tracklet(2, 1, 1, cB, rng, x0=400.0)
+        metrics, pairsets = learn_segment_metrics([target, lone], "initial", RunConfig(),
+                                                  executor=Refusing())
+        assert list(pairsets) == [1]
+        assert metrics[1].column_curves
+
+    def test_refinement_passes_the_executor_on(self):
+        local, _ = _run_swap_case(np.random.default_rng(11), 18)
+        mapped = []
+        with fork_pool() as pool:
+
+            class Recording:
+                def map(self, fn, *iterables):
+                    mapped.append(fn)
+                    return pool.map(fn, *iterables)
+
+            pooled, _ = _run_swap_case(np.random.default_rng(11), 18, executor=Recording())
+        assert mapped and all(fn is learn_metric for fn in mapped)
+        assert [(t.id, t.start, t.end) for t in pooled] == [(t.id, t.start, t.end) for t in local]
+
+
 class TestExactRewrites:
     @given(_margins)
     @example(np.array(_EDGE_VALUES))
@@ -378,7 +448,7 @@ def _assert_identity_metric_and_zero_probe(t, cfg):
     assert np.array_equal(probe(t, cfg), np.zeros(2))
 
 
-def _run_swap_case(rng, swap_at, length=30):
+def _run_swap_case(rng, swap_at, length=30, executor=None):
     cfg = RunConfig()
     cA, cB = two_cluster_centers(rng)
     featsA = cluster_features(rng, cA, length)
@@ -387,6 +457,6 @@ def _run_swap_case(rng, swap_at, length=30):
     f2 = featsB[: swap_at - 1] + featsA[swap_at - 1 :]
     t1 = make_tracklet(1, 1, centers=[(50.0 + 2 * i, 60.0) for i in range(length)], features=f1)
     t2 = make_tracklet(2, 1, centers=[(50.0 + 2 * i, 80.0) for i in range(length)], features=f2)
-    out = refine_tracklets([t1, t2], cfg)
+    out = refine_tracklets([t1, t2], cfg, executor=executor)
     starts = sorted({t.start for t in out} - {1})
     return out, starts
