@@ -93,10 +93,7 @@ def appearance_distance_product(
 
 
 def _mean_probe_distance(t: Tracklet, metric: TargetMetric, anchor) -> float:
-    total = 0.0
-    for det in t.detections:
-        total += metric_distance(metric, det.feature, anchor)
-    return total / len(t.detections)
+    return sum(metric_distance(metric, d.feature, anchor) for d in t.detections) / t.length
 
 
 def assess_difficult(tracklets: list[Tracklet], cfg: RunConfig) -> set[int]:
@@ -163,32 +160,23 @@ def transition_cost(score: float) -> float:
 
 def candidate_pairs(
     segment_tracklets: list[Tracklet],
-    next_segment_tracklets: list[Tracklet],
-    segment_window: tuple[int, int],
-    next_window: tuple[int, int] | None,
+    later_tracklets: list[Tracklet],
     cfg: RunConfig,
 ) -> list[tuple[Tracklet, Tracklet]]:
-    """Ordered linkable pairs scored within one segment table: in-segment
-    pairs, plus boundary pairs into the next segment when the earlier
-    tracklet ends within gap_bound frames of the boundary and the later
-    one starts within gap_bound frames after it."""
+    """Ordered linkable pairs scored within one segment table: every pair
+    of the segment's own tracklets in which b starts after a ends, then
+    every link from one of them to a later segment's tracklet b that
+    starts after a ends with at most gap_bound empty frames between them
+    (the short-gap bound of ``motion_weight``)."""
     inside = sorted(segment_tracklets, key=lambda t: t.id)
-    pairs = [
+    later = sorted(later_tracklets, key=lambda t: t.id)
+    pairs = [(a, b) for a in inside for b in inside if b.start > a.end]
+    pairs += [
         (a, b)
         for a in inside
-        for b in inside
-        if a.id != b.id and b.start > a.end
+        for b in later
+        if b.start > a.end and gap_frames(a, b) <= cfg.gap_bound
     ]
-    if next_window is not None:
-        tail_lo = segment_window[1] - cfg.gap_bound + 1
-        head_hi = next_window[0] + cfg.gap_bound - 1
-        for a in inside:
-            if a.end < tail_lo:
-                continue
-            for b in sorted(next_segment_tracklets, key=lambda t: t.id):
-                if b.start > head_hi or b.start <= a.end:
-                    continue
-                pairs.append((a, b))
     return pairs
 
 

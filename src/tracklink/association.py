@@ -1,11 +1,11 @@
-"""Segment partitioning, global graph assembly and trajectory emission.
+"""Segment grouping, global graph assembly and trajectory emission.
 
 Reliable tracklets become must-cover nodes of one whole-sequence flow
 network; entry/exit edges carry -log(entry_exit_prob) and transition
-edges carry the fused affinity costs estimated per local segment (plus
-boundary pairs bridging consecutive segments).  The cover-all solve
-assigns every tracklet to exactly one trajectory; gaps inside each
-trajectory are filled by linear box interpolation.
+edges carry the fused affinity costs, one table per local segment
+(``affinity.candidate_pairs`` says which links a table scores).  The
+cover-all solve assigns every tracklet to exactly one trajectory; gaps
+inside each trajectory are filled by linear box interpolation.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from tracklink import affinity as aff
 from tracklink.flow import SINK, SOURCE, FlowGraph, solve_paths
 from tracklink.metric import learn_segment_metrics, refine_tracklets
@@ -24,23 +26,11 @@ from tracklink.model import Box, Detection, ExitMap, RunConfig, Tracklet, Trajec
 from tracklink.tracklets import generate_initial_tracklets
 
 
-def partition_segments(n_frames: int, cfg: RunConfig) -> list[tuple[int, int]]:
-    """Consecutive non-overlapping windows of segment_len frames starting
-    at frame 1; the last window may be shorter."""
-    if n_frames < 1:
-        return []
-    windows = []
-    start = 1
-    while start <= n_frames:
-        end = min(start + cfg.segment_len - 1, n_frames)
-        windows.append((start, end))
-        start = end + 1
-    return windows
-
-
-def segment_index_of(t: Tracklet, cfg: RunConfig) -> int:
-    """A tracklet belongs to the segment containing its start frame."""
-    return (t.start - 1) // cfg.segment_len
+def segment_index_of(t: Tracklet, first_frame: int, cfg: RunConfig) -> int:
+    """A tracklet belongs to the segment containing its start frame;
+    segments are segment_len frames long and counted from
+    ``first_frame``, the first frame that holds a detection."""
+    return (t.start - first_frame) // cfg.segment_len
 
 
 def build_association_graph(
@@ -52,35 +42,26 @@ def build_association_graph(
     entry_cost = -math.log(cfg.entry_exit_prob)
     for t in sorted(tracklets, key=lambda t: t.id):
         g.add_node(t.id, cost=0.0, must_cover=True)
-    for t in sorted(tracklets, key=lambda t: t.id):
         g.add_edge(SOURCE, t.id, entry_cost)
         g.add_edge(t.id, SINK, entry_cost)
     for table in tables:
         for row in table.rows:
-            if row.score > 0.0 and math.isfinite(row.cost):
+            if math.isfinite(row.cost):  # a zero or floored score costs +inf
                 g.add_edge(row.i, row.j, row.cost)
     return g
-
-
-def _interpolate_box(box_a: Box, box_b: Box, frac: float) -> Box:
-    return tuple(a + frac * (b - a) for a, b in zip(box_a, box_b))
 
 
 def interpolate_members(members: list[Tracklet]) -> list[tuple[int, Box]]:
     """Per-frame boxes across ordered member tracklets, with gap frames
     linearly interpolated between flanking detections."""
-    out: list[tuple[int, Box]] = []
-    for k, t in enumerate(members):
-        if k > 0:
-            prev = members[k - 1]
-            gap = t.start - prev.end - 1
-            box_a = prev.detections[-1].box
-            box_b = t.detections[0].box
-            for i in range(1, gap + 1):
-                frame = prev.end + i
-                out.append((frame, _interpolate_box(box_a, box_b, i / (gap + 1))))
-        for d in t.detections:
-            out.append((d.frame, d.box))
+    out: list[tuple[int, Box]] = [(d.frame, d.box) for d in members[0].detections]
+    for prev, t in zip(members, members[1:]):
+        box_a, box_b = prev.detections[-1].box, t.detections[0].box
+        steps = t.start - prev.end  # the gap frames, plus one
+        for i in range(1, steps):
+            frac = i / steps
+            out.append((prev.end + i, tuple(a + frac * (b - a) for a, b in zip(box_a, box_b))))
+        out.extend((d.frame, d.box) for d in t.detections)
     return out
 
 
@@ -101,16 +82,10 @@ def associate(
     result = solve_paths(graph, mode="cover_all")
     chains = [[by_id[n] for n in path] for path in result.paths]
     chains.sort(key=lambda members: (members[0].start, members[0].id))
-    trajectories = []
-    for k, members in enumerate(chains, start=1):
-        trajectories.append(
-            Trajectory(
-                id=k,
-                tracklet_ids=tuple(t.id for t in members),
-                interpolated=tuple(interpolate_members(members)),
-            )
-        )
-    return trajectories
+    return [
+        Trajectory(k, tuple(t.id for t in members), tuple(interpolate_members(members)))
+        for k, members in enumerate(chains, start=1)
+    ]
 
 
 @dataclass
@@ -133,6 +108,25 @@ def infer_frame_size(detections: dict[int, list[Detection]], cfg: RunConfig):
             width = max(width, d.box[0] + d.box[2])
             height = max(height, d.box[1] + d.box[3])
     return width, height
+
+
+def _validate(detections: dict[int, list[Detection]]) -> None:
+    """Reject input the pipeline would otherwise pass on: a frame key that
+    is not an int, a detection filed under another frame, a non-finite
+    feature, or features of more than one width."""
+    widths = set()
+    for frame, dets in detections.items():
+        if not isinstance(frame, int):
+            raise ValueError(f"frame keys must be integers, got {frame!r}")
+        for d in dets:
+            if d.frame != frame:
+                raise ValueError(f"a detection of frame {d.frame} is filed under frame {frame}")
+            if d.feature is not None:
+                if not np.isfinite(d.feature).all():
+                    raise ValueError(f"frame {frame}: non-finite feature")
+                widths.add(np.shape(d.feature))
+    if len(widths) > 1:
+        raise ValueError(f"features of more than one width: {sorted(widths)}")
 
 
 def _has_features(detections: dict[int, list[Detection]]) -> bool:
@@ -169,32 +163,33 @@ def prepare_reliable_tracklets(
     tracklet generation, per-segment two-step metric learning with
     refinement, difficult-pair assessment and affinity tables.  The
     tables read each tracklet's reliable-phase metric from one map and
-    its probe from the tracklet itself (``metric.probe``).
+    its probe from the tracklet itself (``metric.probe``).  The input is
+    validated first (``_validate``), before any worker starts.
 
     A segment's descents run in parallel in one process pool
     (``_metric_pool``), which is shut down before this returns or
     raises; the output does not depend on the number of workers."""
+    _validate(detections)
     has_features = _has_features(detections)
     width, height = infer_frame_size(detections, cfg)
     exit_map = ExitMap.from_config(cfg, width, height) if width and height else None
-    n_frames = max(detections) if detections else 0
-    segments = partition_segments(n_frames, cfg)
+    first_frame = min((f for f, dets in detections.items() if dets), default=1)
 
     initial = generate_initial_tracklets(detections, cfg)
-    per_segment: dict[int, list[Tracklet]] = {k: [] for k in range(len(segments))}
+    per_segment: dict[int, list[Tracklet]] = {}
     for t in initial:
-        per_segment[segment_index_of(t, cfg)].append(t)
+        per_segment.setdefault(segment_index_of(t, first_frame, cfg), []).append(t)
 
     next_id = max((t.id for t in initial), default=0) + 1
     # tracklet ids are unique across segments, so one metric map serves
     # every segment's table
     metrics: dict = {}
-    reliable_per_segment: list[list[Tracklet]] = []
+    reliable_per_segment: dict[int, list[Tracklet]] = {}
     pool = _metric_pool(has_features)
     try:
-        for k in range(len(segments)):
+        for k in sorted(per_segment):
             refined = per_segment[k]
-            if refined and has_features:
+            if has_features:
                 refined = refine_tracklets(
                     refined, cfg, exit_map=exit_map, next_id=next_id, executor=pool
                 )
@@ -202,40 +197,25 @@ def prepare_reliable_tracklets(
                 # second-step update on the reliable tracklets, executed once
                 learned = learn_segment_metrics(refined, "reliable", cfg, exit_map, executor=pool)
                 metrics.update(learned[0])
-            reliable_per_segment.append(refined)
+            reliable_per_segment[k] = refined
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    reliable = [t for seg in reliable_per_segment for t in seg]
+    reliable = [t for seg in reliable_per_segment.values() for t in seg]
 
     flagged_ids = aff.assess_difficult(reliable, cfg)
+    appearance = use_appearance and has_features
     tables = []
-    for k, window in enumerate(segments):
-        seg_tracklets = reliable_per_segment[k]
-        if not seg_tracklets:
-            continue
-        next_window = segments[k + 1] if k + 1 < len(segments) else None
-        next_tracklets = reliable_per_segment[k + 1] if next_window else []
-        pairs = aff.candidate_pairs(seg_tracklets, next_tracklets, window, next_window, cfg)
+    seen = 0
+    for k, seg_tracklets in reliable_per_segment.items():
+        seen += len(seg_tracklets)  # reliable[seen:] lies in later segments
+        pairs = aff.candidate_pairs(seg_tracklets, reliable[seen:], cfg)
         if not pairs:
             continue
         tables.append(
-            aff.build_affinity_table(
-                k,
-                pairs,
-                metrics,
-                flagged_ids,
-                cfg,
-                exit_map,
-                use_appearance=use_appearance and has_features,
-            )
+            aff.build_affinity_table(k, pairs, metrics, flagged_ids, cfg, exit_map, appearance)
         )
-    return TrackingResult(
-        trajectories=[],
-        reliable_tracklets=reliable,
-        tables=tables,
-        flagged_ids=flagged_ids,
-    )
+    return TrackingResult([], reliable, tables, flagged_ids)
 
 
 def track_sequence(

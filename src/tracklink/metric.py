@@ -149,7 +149,8 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     eigenvector of the pair-weighted second-moment difference, projected
     onto the orthogonal complement of columns 1..k-1, then descended with
     Armijo backtracking.  Columns stop at r_max or when the relative loss
-    improvement drops below 1e-4; the loss never increases.
+    improvement drops below 1e-4; the loss never increases.  A column
+    whose loss is not finite raises ValueError.
 
     A backtracking candidate with pair margins ``a`` is rejected without
     evaluating its loss when ``sum(max(a, 0))`` already exceeds the Armijo
@@ -193,6 +194,8 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
             break
         col_curve: list[float] = []
         w, col_loss = _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, col_curve)
+        if not math.isfinite(col_loss):
+            raise ValueError(f"tracklet {pairs.target_id}: metric loss became non-finite")
         improvement = (current_loss - col_loss) / max(abs(current_loss), 1e-12)
         if improvement < _COLUMN_TOL and k > 0:
             break
@@ -203,8 +206,6 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
         current_loss = min(current_loss, col_loss)
         base_p += (pos @ w) ** 2
         base_n += (neg @ w) ** 2
-        if not math.isfinite(current_loss):
-            raise ValueError(f"tracklet {pairs.target_id}: metric loss became non-finite")
         if improvement < _COLUMN_TOL:
             break
     return TargetMetric(

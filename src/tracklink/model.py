@@ -7,6 +7,7 @@ immutable value objects once constructed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,6 +150,13 @@ class RunConfig:
     frame_height: float = 0.0
 
     def __post_init__(self):
+        for name in (
+            "segment_len", "probe_window", "strongest_q", "split_run",
+            "refine_iters", "gap_bound", "rng_seed",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0.0 <= self.lambda1 <= 1.0 and 0.0 <= self.lambda2 <= 1.0):
             raise ValueError("lambda1/lambda2 must lie in [0, 1]")
         if self.probe_window < 1 or self.strongest_q < 1:

@@ -8,7 +8,7 @@ import tracklink.dynamics as dynamics
 from tracklink import affinity as aff
 from tracklink.dynamics import NEG_INF
 from tracklink.metric import identity_metric, learn_segment_metrics
-from tracklink.model import ExitMap, RunConfig
+from tracklink.model import ExitMap, RunConfig, gap_frames
 
 from conftest import cluster_features, line_tracklet, make_tracklet, two_cluster_centers
 from oracles import reference_assess_difficult, reference_motion_similarity
@@ -192,6 +192,33 @@ class TestTransitionCost:
             aff.transition_cost(-0.1)
 
 
+class TestCandidatePairs:
+    def test_successor_measured_from_the_end_of_a_long_tracklet(self):
+        # a starts in segment 1 (frames 51-100) and runs into segment 2; b
+        # starts 6 empty frames after a ends, c 21 (past gap_bound = 20)
+        cfg = RunConfig()
+        a = make_tracklet(1, 74, length=47)
+        b = make_tracklet(2, 127, length=10)
+        c = make_tracklet(3, 142, length=10)
+        assert (a.end, gap_frames(a, b), gap_frames(a, c)) == (120, 6, 21)
+        pairs = aff.candidate_pairs([a], [c, b], cfg)
+        assert [(x.id, y.id) for x, y in pairs] == [(1, 2)]
+
+    def test_in_segment_pairs_need_no_gap_bound(self):
+        a = make_tracklet(1, 1, length=5)
+        b = make_tracklet(2, 40, length=5)
+        overlapping = make_tracklet(3, 3, length=10)
+        pairs = aff.candidate_pairs([b, overlapping, a], [], RunConfig())
+        assert [(x.id, y.id) for x, y in pairs] == [(1, 2), (3, 2)]
+
+    def test_later_tracklet_must_start_after_the_end(self):
+        a = make_tracklet(1, 40, length=20)
+        overlapping = make_tracklet(2, 55, length=10)
+        adjacent = make_tracklet(3, 60, length=10)
+        pairs = aff.candidate_pairs([a], [overlapping, adjacent], RunConfig(gap_bound=0))
+        assert [(x.id, y.id) for x, y in pairs] == [(1, 3)]
+
+
 class TestTableAssembly:
     def _segment(self, rng):
         cA, cB = two_cluster_centers(rng)
@@ -201,7 +228,7 @@ class TestTableAssembly:
         tracklets = [t1, t2, t3]
         cfg = RunConfig()
         metrics, _ = learn_segment_metrics(tracklets, "reliable", cfg)
-        pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, cfg)
+        pairs = aff.candidate_pairs(tracklets, [], cfg)
         return aff.build_affinity_table(0, pairs, metrics, set(), cfg, None, use_appearance=True)
 
     def test_best_pair_p_a_is_exactly_one(self, rng):
@@ -223,7 +250,7 @@ class TestTableAssembly:
         cfg = RunConfig()
         exit_map = ExitMap(width=640, height=480, band=24.0)
         metrics = {1: identity_metric(1, cA.size), 2: identity_metric(2, cA.size)}
-        pairs = aff.candidate_pairs([exiting, later], [], (1, 50), None, cfg)
+        pairs = aff.candidate_pairs([exiting, later], [], cfg)
         table = aff.build_affinity_table(0, pairs, metrics, set(), cfg, exit_map)
         closed = [row for row in table.rows if row.c_e == 0]
         assert closed, "exit-band row expected"
@@ -260,7 +287,7 @@ class TestTableAssembly:
             feature_tracklet(4, 40, 8, cB, rng, y=300.0),
         ]
         metrics, _ = learn_segment_metrics(tracklets, "reliable", RunConfig())
-        pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, RunConfig())
+        pairs = aff.candidate_pairs(tracklets, [], RunConfig())
 
         def build(cfg):
             return aff.build_affinity_table(0, pairs, metrics, {2, 4}, cfg, None)
@@ -304,7 +331,7 @@ class TestTableAssembly:
             ]
         ]
         cfg = RunConfig()
-        pairs = aff.candidate_pairs(tracklets, [], (1, 50), None, cfg)
+        pairs = aff.candidate_pairs(tracklets, [], cfg)
         table = aff.build_affinity_table(0, pairs, {}, set(), cfg, None, use_appearance=False)
         assert len(table.rows) == len(pairs) > len(tracklets)
         assert len(calls) <= len(table.rows) + len({t.id for t in tracklets})

@@ -15,7 +15,6 @@ from tracklink import association
 from tracklink.association import (
     associate,
     interpolate_members,
-    partition_segments,
     segment_index_of,
     track_sequence,
 )
@@ -37,18 +36,12 @@ def table(rows):
 
 
 class TestPartition:
-    def test_three_windows(self):
-        assert partition_segments(120, RunConfig()) == [(1, 50), (51, 100), (101, 120)]
-
-    def test_exact_fit(self):
-        assert partition_segments(50, RunConfig()) == [(1, 50)]
-
-    def test_single_frame(self):
-        assert partition_segments(1, RunConfig()) == [(1, 1)]
-
     def test_membership_by_start_frame(self):
         t = make_tracklet(1, 49, length=20)
-        assert segment_index_of(t, RunConfig()) == 0
+        assert segment_index_of(t, 1, RunConfig()) == 0
+        # segments count from the first frame that holds a detection
+        assert segment_index_of(t, 1 - 17, RunConfig()) == 1
+        assert segment_index_of(make_tracklet(2, 49 + 17, length=20), 1 + 17, RunConfig()) == 0
 
 
 class TestAssociate:
@@ -159,9 +152,6 @@ class TestEndToEnd:
         assert state.trajectories == []
         assert state.reliable_tracklets == []
 
-    def test_empty_segments(self):
-        assert partition_segments(0, RunConfig()) == []
-
 
 def _four_targets(seed):
     """Two crossing pairs over two segments: every segment learns several
@@ -182,6 +172,72 @@ def _four_targets(seed):
         pos_noise=0.5,
         seed=seed,
     )
+
+
+def _shifted(detections, k):
+    """The scene with every frame number raised by k."""
+    return {
+        f + k: [dataclasses.replace(d, frame=d.frame + k) for d in dets]
+        for f, dets in detections.items()
+    }
+
+
+@pytest.mark.parametrize("k", [17, 33])
+def test_frame_offset_shifts_the_output(k):
+    # segments count from the first frame that holds a detection, so a
+    # frame offset moves every segment with the data
+    detections, _ = generate_scenario(_four_targets(6))
+    cfg = RunConfig(rng_seed=6)
+    expected = track_sequence(detections, cfg).trajectories
+    moved = track_sequence(_shifted(detections, k), cfg).trajectories
+    assert [t.tracklet_ids for t in moved] == [t.tracklet_ids for t in expected]
+    assert [[(f - k, box) for f, box in t.interpolated] for t in moved] == [
+        list(t.interpolated) for t in expected
+    ]
+
+
+class TestValidation:
+    """Input the pipeline cannot use is rejected at its entry, before a
+    worker starts."""
+
+    @pytest.fixture
+    def detections(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started before validation")
+
+        monkeypatch.setattr(association, "ProcessPoolExecutor", refuse)
+        return generate_scenario(_four_targets(6))[0]
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_non_finite_features(self, detections, width):
+        nan = {
+            f: [dataclasses.replace(d, feature=np.full(width, np.nan)) for d in dets]
+            for f, dets in detections.items()
+        }
+        with pytest.raises(ValueError, match="non-finite"):
+            track_sequence(nan, RunConfig())
+
+    def test_one_infinite_entry(self, detections):
+        feature = detections[30][0].feature.copy()
+        feature[3] = np.inf
+        detections[30][0] = dataclasses.replace(detections[30][0], feature=feature)
+        with pytest.raises(ValueError, match="non-finite"):
+            track_sequence(detections, RunConfig())
+
+    def test_features_of_two_widths(self, detections):
+        detections[40] = [dataclasses.replace(d, feature=d.feature[:16]) for d in detections[40]]
+        with pytest.raises(ValueError, match="width"):
+            track_sequence(detections, RunConfig())
+
+    def test_fractional_frame_key(self, detections):
+        detections[12.5] = detections.pop(12)
+        with pytest.raises(ValueError, match="integers"):
+            track_sequence(detections, RunConfig())
+
+    def test_detection_under_another_frame(self, detections):
+        detections[13] = detections[13] + [detections[12][0]]
+        with pytest.raises(ValueError, match="filed under frame 13"):
+            track_sequence(detections, RunConfig())
 
 
 def _fingerprint(state):
@@ -243,21 +299,22 @@ class TestMetricPool:
 
     @requires_fork
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # NaN features (mot_io rejects them; the Python API does not) make
-        # the eigendecomposition that starts each descent fail to converge
+        # finite features whose squared distances overflow make every
+        # descent's loss non-finite, which learn_metric rejects
         detections, _ = generate_scenario(_four_targets(6))
-        nan = {
-            f: [dataclasses.replace(d, feature=np.full(8, np.nan)) for d in dets]
+        huge = {
+            f: [dataclasses.replace(d, feature=d.feature * 1e155) for d in dets]
             for f, dets in detections.items()
         }
         raised = {}
         for cpus in (1, 2):
             self._cpus(monkeypatch, cpus)
-            with pytest.raises(Exception) as info:
-                track_sequence(nan, RunConfig())
+            with pytest.raises(Exception) as info, np.errstate(over="ignore", invalid="ignore"):
+                track_sequence(huge, RunConfig())
             raised[cpus] = info.value
             assert multiprocessing.active_children() == []
-        assert isinstance(raised[1], np.linalg.LinAlgError)
+        assert isinstance(raised[1], ValueError)
+        assert "non-finite" in str(raised[1])
         assert type(raised[2]) is type(raised[1])
         assert str(raised[2]) == str(raised[1])
         assert type(raised[2].__cause__).__name__ == "_RemoteTraceback"

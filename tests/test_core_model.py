@@ -112,6 +112,22 @@ class TestTypes:
         with pytest.raises(ValueError, match=name):
             RunConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rng_seed", 0.5),
+            ("split_run", 2.5),
+            ("segment_len", 50.0),
+            ("probe_window", "8"),
+            ("strongest_q", True),
+            ("refine_iters", None),
+            ("gap_bound", 20.5),
+        ],
+    )
+    def test_config_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+
     def test_config_accepts_the_lowest_valid_values(self):
         RunConfig(split_run=1, refine_iters=0, gap_bound=0, rng_seed=0)
 

@@ -1,0 +1,97 @@
+"""Metamorphic properties of the whole pipeline on small random scenes.
+
+Each transform below has a known effect on the output: shuffling each
+frame's detection list or flipping the sign of feature dimensions leaves
+the trajectories unchanged (metrics learn on coordinate-wise |z - z'|),
+and a frame offset shifts them by the offset (segments count from the
+first frame that holds a detection).  Trajectories are compared by their
+per-frame boxes, not by ids.  Every output must also keep the pipeline
+invariants: each reliable tracklet lies in exactly one trajectory, no
+detection is used twice and no trajectory has a frame gap.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tracklink.association import track_sequence
+from tracklink.model import RunConfig
+from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
+
+N_FRAMES = 120  # three segments of the default 50 frames
+
+
+@st.composite
+def scenes(draw):
+    """Detections of 3-5 crossing or parallel targets over 120 frames,
+    with one occlusion between the first two."""
+    n_targets = draw(st.integers(3, 5))
+    targets = []
+    for ident in range(1, n_targets + 1):
+        start = draw(st.integers(1, 40))
+        end = draw(st.integers(start + 40, N_FRAMES))
+        x = draw(st.floats(60.0, 560.0))
+        y = draw(st.floats(60.0, 400.0))
+        velocity = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-1.0, 1.0)))
+        targets.append(TargetSpec(ident, start, end, (x, y, 16.0, 32.0), velocity=velocity))
+    hidden_from = draw(st.integers(45, 90))
+    spec = ScenarioSpec(
+        n_frames=N_FRAMES,
+        targets=tuple(targets),
+        feature_dim=draw(st.sampled_from([8, 16])),
+        pos_noise=0.5,
+        miss_prob=draw(st.sampled_from([0.0, 0.03])),
+        occlusions=(OcclusionSpec(targets=(1, 2), frames=(hidden_from, hidden_from + 7)),),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return generate_scenario(spec)[0]
+
+
+def _boxes(trajectories, offset=0):
+    return sorted(tuple((f - offset, box) for f, box in t.interpolated) for t in trajectories)
+
+
+def _assert_invariants(state, detections):
+    by_id = {t.id: t for t in state.reliable_tracklets}
+    members = [tid for traj in state.trajectories for tid in traj.tracklet_ids]
+    assert sorted(members) == sorted(by_id)  # each reliable tracklet exactly once
+    used = [id(d) for t in state.reliable_tracklets for d in t.detections]
+    assert len(used) == len(set(used))
+    assert set(used) <= {id(d) for dets in detections.values() for d in dets}
+    for traj in state.trajectories:
+        frames = [f for f, _ in traj.interpolated]
+        assert frames == list(range(frames[0], frames[-1] + 1))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(
+    detections=scenes(),
+    order=st.randoms(use_true_random=False),
+    flip_seed=st.integers(0, 2**16),
+    offset=st.integers(1, 60),
+)
+def test_transforms_with_known_effect(detections, order, flip_seed, offset):
+    cfg = RunConfig()
+    state = track_sequence(detections, cfg)
+    _assert_invariants(state, detections)
+    expected = _boxes(state.trajectories)
+
+    shuffled = {f: order.sample(dets, len(dets)) for f, dets in detections.items()}
+    assert _boxes(track_sequence(shuffled, cfg).trajectories) == expected
+
+    width = next(iter(detections.values()))[0].feature.size
+    signs = np.random.default_rng(flip_seed).choice([-1.0, 1.0], width)
+    flipped = {
+        f: [dataclasses.replace(d, feature=d.feature * signs) for d in dets]
+        for f, dets in detections.items()
+    }
+    assert _boxes(track_sequence(flipped, cfg).trajectories) == expected
+
+    moved = {
+        f + offset: [dataclasses.replace(d, frame=d.frame + offset) for d in dets]
+        for f, dets in detections.items()
+    }
+    moved_state = track_sequence(moved, cfg)
+    _assert_invariants(moved_state, moved)
+    assert _boxes(moved_state.trajectories, offset) == expected

@@ -160,6 +160,15 @@ class TestLearnMetric:
         with pytest.raises(ValueError, match="no positive"):
             learn_metric(PairSet(1, empty, vecs), RunConfig())
 
+    def test_non_finite_loss_raises(self, rng):
+        # finite differences whose squares overflow: every column loss is
+        # non-finite, so no column may be kept
+        cA, cB = two_cluster_centers(rng)
+        pos = np.abs(rng.normal(0, 1.4, (6, 32))) * 1e155
+        neg = np.abs((cA - cB) + rng.normal(0, 1.4, (20, 32))) * 1e155
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+            learn_metric(PairSet(1, pos, neg), RunConfig())
+
 
 class TestReferenceEquivalence:
     """learn_metric and collect_pairs equal the plain loops in ``oracles``
