@@ -172,10 +172,7 @@ def candidate_pairs(
     later = sorted(later_tracklets, key=lambda t: t.id)
     pairs = [(a, b) for a in inside for b in inside if b.start > a.end]
     pairs += [
-        (a, b)
-        for a in inside
-        for b in later
-        if b.start > a.end and gap_frames(a, b) <= cfg.gap_bound
+        (a, b) for a in inside for b in later if a.end < b.start <= a.end + 1 + cfg.gap_bound
     ]
     return pairs
 

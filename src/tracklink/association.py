@@ -110,10 +110,12 @@ def infer_frame_size(detections: dict[int, list[Detection]], cfg: RunConfig):
     return width, height
 
 
-def _validate(detections: dict[int, list[Detection]]) -> None:
+def _validate(detections: dict[int, list[Detection]]) -> bool:
     """Reject input the pipeline would otherwise pass on: a frame key that
     is not an int, a detection filed under another frame, a non-finite
-    feature, or features of more than one width."""
+    feature, or features of more than one width; no feature counts as
+    the width None, so features on only some detections are rejected.
+    Returns whether the detections carry features."""
     widths = set()
     for frame, dets in detections.items():
         if not isinstance(frame, int):
@@ -121,16 +123,12 @@ def _validate(detections: dict[int, list[Detection]]) -> None:
         for d in dets:
             if d.frame != frame:
                 raise ValueError(f"a detection of frame {d.frame} is filed under frame {frame}")
-            if d.feature is not None:
-                if not np.isfinite(d.feature).all():
-                    raise ValueError(f"frame {frame}: non-finite feature")
-                widths.add(np.shape(d.feature))
+            if d.feature is not None and not np.isfinite(d.feature).all():
+                raise ValueError(f"frame {frame}: non-finite feature")
+            widths.add(None if d.feature is None else np.shape(d.feature))
     if len(widths) > 1:
-        raise ValueError(f"features of more than one width: {sorted(widths)}")
-
-
-def _has_features(detections: dict[int, list[Detection]]) -> bool:
-    return all(d.feature is not None for dets in detections.values() for d in dets)
+        raise ValueError(f"features of more than one width: {sorted(widths, key=str)}")
+    return None not in widths
 
 
 def _metric_pool(has_features: bool) -> ProcessPoolExecutor | None:
@@ -169,8 +167,7 @@ def prepare_reliable_tracklets(
     A segment's descents run in parallel in one process pool
     (``_metric_pool``), which is shut down before this returns or
     raises; the output does not depend on the number of workers."""
-    _validate(detections)
-    has_features = _has_features(detections)
+    has_features = _validate(detections)
     width, height = infer_frame_size(detections, cfg)
     exit_map = ExitMap.from_config(cfg, width, height) if width and height else None
     first_frame = min((f for f, dets in detections.items() if dets), default=1)

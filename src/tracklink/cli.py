@@ -28,13 +28,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tracklet association tracking with online-learned affinity models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that runs the tracker
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--det", required=True, help="detection CSV")
+    run.add_argument("--features", help="feature sidecar CSV")
+    run.add_argument("--config", help="key=value run configuration")
+    run.add_argument("--seed", type=int, help="override the configured rng seed")
 
-    p_track = sub.add_parser("track", help="link detections into trajectories")
-    p_track.add_argument("--det", required=True, help="detection CSV")
-    p_track.add_argument("--features", help="feature sidecar CSV")
-    p_track.add_argument("--config", help="key=value run configuration")
+    p_track = sub.add_parser("track", parents=[run], help="link detections into trajectories")
     p_track.add_argument("--out", required=True, help="result CSV path")
-    p_track.add_argument("--seed", type=int, help="override the configured rng seed")
     p_track.add_argument(
         "--no-appearance",
         action="store_true",
@@ -49,12 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", help="also write the report as JSON")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_learn = sub.add_parser("learn-weights", help="supervised motion-weight learning")
-    p_learn.add_argument("--det", required=True)
-    p_learn.add_argument("--features", help="feature sidecar CSV")
+    p_learn = sub.add_parser(
+        "learn-weights", parents=[run], help="supervised motion-weight learning"
+    )
     p_learn.add_argument("--gt", required=True)
-    p_learn.add_argument("--config", help="key=value run configuration")
-    p_learn.add_argument("--seed", type=int)
     p_learn.add_argument("--out", help="write the learned pair as JSON")
     p_learn.set_defaults(func=cmd_learn_weights)
 
@@ -64,11 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, help="override the scenario seed")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_dump = sub.add_parser("dump-affinity", help="write per-segment affinity tables")
-    p_dump.add_argument("--det", required=True)
-    p_dump.add_argument("--features", help="feature sidecar CSV")
-    p_dump.add_argument("--config", help="key=value run configuration")
-    p_dump.add_argument("--seed", type=int)
+    p_dump = sub.add_parser(
+        "dump-affinity", parents=[run], help="write per-segment affinity tables"
+    )
     p_dump.add_argument("--out-dir", required=True)
     p_dump.set_defaults(func=cmd_dump_affinity)
     return parser
@@ -76,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     return cfg
 

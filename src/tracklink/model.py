@@ -7,13 +7,21 @@ immutable value objects once constructed.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 Box = tuple[float, float, float, float]
+
+
+def check_box(box: Box) -> None:
+    """The one box rule: four finite values (x, y, w, h) with w > 0 and
+    h > 0; anything else raises ValueError."""
+    _, _, w, h = box
+    if not (all(map(math.isfinite, box)) and w > 0 and h > 0):
+        raise ValueError(f"box must be four finite values with w, h > 0, got {tuple(box)}")
 
 
 @dataclass(frozen=True)
@@ -22,7 +30,8 @@ class Detection:
 
     ``feature`` is an optional appearance vector; ``id_hint`` is a
     ground-truth identity used only by synthesis and evaluation, never by
-    the tracker itself.
+    the tracker itself.  Frames are integers >= 1 (not bools), boxes pass
+    ``check_box`` and scores lie in (0, 1); ``track_sequence`` checks features.
     """
 
     frame: int
@@ -32,11 +41,13 @@ class Detection:
     id_hint: int | None = None
 
     def __post_init__(self):
-        x, y, w, h = self.box
-        if w <= 0 or h <= 0:
-            raise ValueError(f"detection box must have positive size, got w={w}, h={h}")
+        if isinstance(self.frame, bool) or not isinstance(self.frame, (int, np.integer)):
+            raise ValueError(f"frame must be an integer, got {self.frame!r}")
         if self.frame < 1:
             raise ValueError(f"frame indices are 1-based, got {self.frame}")
+        check_box(self.box)
+        if not (0.0 < self.score < 1.0):
+            raise ValueError(f"detection score must lie in (0, 1), got {self.score}")
 
     @property
     def center(self) -> tuple[float, float]:
@@ -150,13 +161,13 @@ class RunConfig:
     frame_height: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "segment_len", "probe_window", "strongest_q", "split_run",
-            "refine_iters", "gap_bound", "rng_seed",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            elif value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (0.0 <= self.lambda1 <= 1.0 and 0.0 <= self.lambda2 <= 1.0):
             raise ValueError("lambda1/lambda2 must lie in [0, 1]")
         if self.probe_window < 1 or self.strongest_q < 1:
@@ -179,6 +190,10 @@ class RunConfig:
             raise ValueError("entry_exit_prob must lie strictly between 0 and 1")
         if not (0.0 < self.det_threshold < 1.0):
             raise ValueError("det_threshold must lie strictly between 0 and 1")
+        if not (0.0 <= self.exit_band_frac < 0.5):
+            raise ValueError("exit_band_frac must lie in [0, 0.5)")
+        if self.frame_width < 0.0 or self.frame_height < 0.0:
+            raise ValueError("frame_width and frame_height must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -213,18 +228,10 @@ def temporal_overlap(a: Tracklet, b: Tracklet) -> bool:
 
 def iou(box_a: Box, box_b: Box) -> float:
     """Intersection-over-union of two (x, y, w, h) boxes."""
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    ix = max(ax, bx)
-    iy = max(ay, by)
-    ix2 = min(ax + aw, bx + bw)
-    iy2 = min(ay + ah, by + bh)
-    iw = max(0.0, ix2 - ix)
-    ih = max(0.0, iy2 - iy)
-    inter = iw * ih
+    inter = intersection_area(box_a, box_b)
     if inter == 0.0:
         return 0.0
-    return inter / (aw * ah + bw * bh - inter)
+    return inter / (box_a[2] * box_a[3] + box_b[2] * box_b[3] - inter)
 
 
 def intersection_area(box_a: Box, box_b: Box) -> float:

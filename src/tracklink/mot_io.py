@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tracklink.model import Box, Detection, RunConfig, Trajectory
+from tracklink.model import Box, Detection, RunConfig, Trajectory, check_box
 
 
 class ParseError(ValueError):
@@ -28,19 +28,27 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _parse_row(line: str, lineno: int, path: str, min_cols: int) -> list[float]:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) < min_cols:
-        raise ParseError(
-            f"{path}:{lineno}: expected at least {min_cols} comma-separated values"
-        )
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-    if not all(map(math.isfinite, vals)):
-        raise ParseError(f"{path}:{lineno}: non-finite value")
-    return vals
+def _records(path: Path, min_cols: int):
+    """(line number, values) of each data line of a CSV file; blank lines
+    and '#' comments are skipped.  A line with fewer than ``min_cols``
+    values, or with a non-numeric or non-finite one, is a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) < min_cols:
+                raise ParseError(
+                    f"{path}:{lineno}: expected at least {min_cols} comma-separated values"
+                )
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            yield lineno, vals
 
 
 def _integral(value: float, name: str, lineno: int, path) -> int:
@@ -63,38 +71,24 @@ def load_detections(
 
     Rows are (frame, id, x, y, w, h, score); extra columns are ignored.
     An id >= 1 is kept as ``id_hint`` (synthetic/labeled files); -1 marks
-    an unlabeled raw detection.  Scores must lie strictly in (0, 1):
-    callers feeding raw detector output must pre-normalize.  When
-    ``sidecar_path`` is given, a feature vector is attached to every
-    detection; the sidecar indexes detections by their position inside
-    the sorted frame group.  The sidecar's first row sets the feature
-    size; a row of another width is rejected.
+    an unlabeled raw detection.  A row that ``Detection`` rejects (a
+    score outside (0, 1), say: raw detector output must be normalized)
+    raises a ParseError naming its line, the first such row in sorted
+    order.  When ``sidecar_path`` is given, a feature vector is
+    attached to every detection; the sidecar indexes detections by their
+    position inside the sorted frame group.  The sidecar's first row sets
+    the feature size; a row of another width is rejected.
     """
     path = Path(path)
-    raw: list[tuple[int, int | None, Box, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = _parse_row(line, lineno, str(path), 7)
-            frame = _integral(vals[0], "frame", lineno, path)
-            ident = _integral(vals[1], "id", lineno, path)
-            x, y, w, h = vals[2:6]
-            score = vals[6]
-            if frame < 1:
-                raise ParseError(f"{path}:{lineno}: frame must be >= 1, got {frame}")
-            if w <= 0 or h <= 0:
-                raise ParseError(f"{path}:{lineno}: non-positive box size w={w}, h={h}")
-            if not (0.0 < score < 1.0):
-                raise ParseError(
-                    f"{path}:{lineno}: detection score must lie in (0, 1), got {score}"
-                )
-            raw.append((frame, ident if ident >= 1 else None, (x, y, w, h), score))
-    raw.sort(key=lambda r: _det_order(r[0], r[2], r[3]))
+    raw: list[tuple[int, int, int | None, Box, float]] = []
+    for lineno, vals in _records(path, 7):
+        frame = _integral(vals[0], "frame", lineno, path)
+        ident = _integral(vals[1], "id", lineno, path)
+        raw.append((lineno, frame, ident if ident >= 1 else None, tuple(vals[2:6]), vals[6]))
+    raw.sort(key=lambda r: _det_order(r[1], r[3], r[4]))
     features = _load_sidecar(sidecar_path) if sidecar_path else None
     by_frame: dict[int, list[Detection]] = {}
-    for frame, ident, box, score in raw:
+    for lineno, frame, ident, box, score in raw:
         group = by_frame.setdefault(frame, [])
         feature = None
         if features is not None:
@@ -104,9 +98,11 @@ def load_detections(
                     f"{sidecar_path}: missing feature row for frame {frame} index {len(group)}"
                 )
             feature = features.pop(key)
-        group.append(
-            Detection(frame=frame, box=box, score=score, feature=feature, id_hint=ident)
-        )
+        try:
+            det = Detection(frame=frame, box=box, score=score, feature=feature, id_hint=ident)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        group.append(det)
     if features:
         extra = sorted(features)[0]
         raise ParseError(
@@ -120,54 +116,47 @@ def _load_sidecar(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
     path = Path(path)
     width = None
     features: dict[tuple[int, int], np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = _parse_row(line, lineno, str(path), 3)
-            frame = _integral(vals[0], "frame", lineno, path)
-            idx = _integral(vals[1], "index", lineno, path)
-            vec = np.asarray(vals[2:], dtype=float)
-            if width is None:
-                width = vec.size
-            if vec.size != width:
-                raise ParseError(
-                    f"{path}:{lineno}: feature dimension {vec.size} != first row's {width}"
-                )
-            if (frame, idx) in features:
-                raise ParseError(f"{path}:{lineno}: duplicate feature row ({frame}, {idx})")
-            features[(frame, idx)] = vec
+    for lineno, vals in _records(path, 3):
+        frame = _integral(vals[0], "frame", lineno, path)
+        idx = _integral(vals[1], "index", lineno, path)
+        vec = np.asarray(vals[2:], dtype=float)
+        if width is None:
+            width = vec.size
+        if vec.size != width:
+            raise ParseError(
+                f"{path}:{lineno}: feature dimension {vec.size} != first row's {width}"
+            )
+        if (frame, idx) in features:
+            raise ParseError(f"{path}:{lineno}: duplicate feature row ({frame}, {idx})")
+        features[(frame, idx)] = vec
     return features
 
 
 def load_ground_truth(path: str | Path) -> dict[int, list[tuple[int, Box]]]:
     """Load identity-labeled boxes: map id -> frame-ordered (frame, box).
 
-    Declared gaps are preserved.  Rows must carry id >= 1; duplicate
-    (frame, id) pairs are rejected.
+    Declared gaps are preserved.  Rows must carry id >= 1, frame >= 1
+    and a box that passes ``check_box``; duplicate (frame, id) pairs are
+    rejected.
     """
     path = Path(path)
     tracks: dict[int, dict[int, Box]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = _parse_row(line, lineno, str(path), 6)
-            frame = _integral(vals[0], "frame", lineno, path)
-            ident = _integral(vals[1], "id", lineno, path)
-            x, y, w, h = vals[2:6]
-            if ident < 1:
-                raise ParseError(f"{path}:{lineno}: ground-truth id must be >= 1, got {ident}")
-            if frame < 1:
-                raise ParseError(f"{path}:{lineno}: frame must be >= 1, got {frame}")
-            if w <= 0 or h <= 0:
-                raise ParseError(f"{path}:{lineno}: non-positive box size w={w}, h={h}")
-            per_id = tracks.setdefault(ident, {})
-            if frame in per_id:
-                raise ParseError(f"{path}:{lineno}: duplicate (frame={frame}, id={ident}) row")
-            per_id[frame] = (x, y, w, h)
+    for lineno, vals in _records(path, 6):
+        frame = _integral(vals[0], "frame", lineno, path)
+        ident = _integral(vals[1], "id", lineno, path)
+        box = tuple(vals[2:6])
+        if ident < 1:
+            raise ParseError(f"{path}:{lineno}: ground-truth id must be >= 1, got {ident}")
+        if frame < 1:
+            raise ParseError(f"{path}:{lineno}: frame must be >= 1, got {frame}")
+        try:
+            check_box(box)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        per_id = tracks.setdefault(ident, {})
+        if frame in per_id:
+            raise ParseError(f"{path}:{lineno}: duplicate (frame={frame}, id={ident}) row")
+        per_id[frame] = box
     return {
         ident: [(f, per_id[f]) for f in sorted(per_id)]
         for ident, per_id in sorted(tracks.items())

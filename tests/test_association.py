@@ -229,6 +229,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="width"):
             track_sequence(detections, RunConfig())
 
+    def test_features_on_only_some_detections(self, detections):
+        # a featureless detection would otherwise turn the whole run motion-only
+        detections[30][0] = dataclasses.replace(detections[30][0], feature=None)
+        with pytest.raises(ValueError, match="width"):
+            track_sequence(detections, RunConfig())
+
     def test_fractional_frame_key(self, detections):
         detections[12.5] = detections.pop(12)
         with pytest.raises(ValueError, match="integers"):

@@ -66,6 +66,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             Detection(frame=1, box=(0, 0, -5, 10), score=0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_detection_rejects_non_finite_box(self, index, value):
+        box = [10.0, 20.0, 4.0, 8.0]
+        box[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            Detection(frame=1, box=tuple(box), score=0.5)
+
+    @pytest.mark.parametrize("score", [np.nan, 0.0, 1.0, 1.5, -0.2])
+    def test_detection_rejects_score_outside_unit_interval(self, score):
+        with pytest.raises(ValueError, match="score"):
+            Detection(frame=1, box=(0, 0, 5, 5), score=score)
+
+    @pytest.mark.parametrize("frame", [True, 1.0, 2.5, "3", 0, -1])
+    def test_detection_rejects_non_integer_or_zero_frame(self, frame):
+        with pytest.raises(ValueError, match="frame"):
+            Detection(frame=frame, box=(0, 0, 5, 5), score=0.5)
+
+    def test_detection_accepts_numpy_integer_frame(self):
+        assert Detection(frame=np.int64(3), box=(0, 0, 5, 5), score=0.5).frame == 3
+
     def test_tracklet_rejects_gaps(self):
         d1 = Detection(frame=1, box=(0, 0, 5, 5), score=0.5)
         d3 = Detection(frame=3, box=(0, 0, 5, 5), score=0.5)
@@ -128,8 +149,34 @@ class TestTypes:
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "distance_threshold", "rank_tol", "overlap_eta", "lambda1", "lambda2",
+            "exit_band_frac", "entry_exit_prob", "det_threshold", "frame_width", "frame_height",
+        ],
+    )
+    def test_config_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"exit_band_frac": -1.0}, "exit_band_frac"),  # hidden by ExitMap's 1-pixel floor
+            ({"exit_band_frac": 0.5}, "exit_band_frac"),  # the band would cover the frame
+            ({"frame_width": -1280.0}, "frame_width"),  # would be ignored silently
+            ({"frame_height": -1.0}, "frame_height"),
+        ],
+    )
+    def test_config_rejects_out_of_range_floats(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**fields)
+
     def test_config_accepts_the_lowest_valid_values(self):
         RunConfig(split_run=1, refine_iters=0, gap_bound=0, rng_seed=0)
+        RunConfig(exit_band_frac=0.0, frame_width=0.0, frame_height=0.0)
 
     def test_config_defaults_match_defaults_in_use(self):
         cfg = RunConfig()

@@ -47,6 +47,23 @@ class TestLoadDetections:
         with pytest.raises(ParseError, match="score"):
             load_detections(path)
 
+    @pytest.mark.parametrize(
+        "row, rule",
+        [
+            ("1,-1,10,10,5,5,1.5", "score"),
+            ("1,-1,10,10,nan,5,0.9", "non-finite"),
+            ("1,-1,10,10,5,5,0", "score"),
+            ("0,-1,10,10,5,5,0.9", "1-based"),
+            ("1,-1,10,10,0,5,0.9", "w, h > 0"),
+            ("1,-1,10,10,5,-5,0.9", "w, h > 0"),
+        ],
+    )
+    def test_rejected_detection_names_its_line(self, tmp_path, row, rule):
+        # the row sorts first but sits on line 2
+        path = write(tmp_path, "d.csv", f"2,-1,30,10,5,5,0.8\n{row}\n1,-1,40,10,5,5,0.7\n")
+        with pytest.raises(ParseError, match=rf"d\.csv:2: .*{rule}"):
+            load_detections(path)
+
     def test_rows_sorted_within_frame(self, tmp_path):
         path = write(tmp_path, "d.csv", "1,-1,30,10,5,5,0.8\n1,-1,10,10,5,5,0.9\n")
         dets = load_detections(path)
@@ -115,7 +132,12 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("2.5,1,10,20,5,5,1", "frame must be an integer"), ("2,1,10,20,nan,5,1", "non-finite")],
+        [
+            ("2.5,1,10,20,5,5,1", "frame must be an integer"),
+            ("2,1,10,20,nan,5,1", "non-finite"),
+            ("0,1,10,20,5,5,1", "frame must be >= 1"),
+            ("2,1,10,20,5,0,1", "box must be four finite values"),
+        ],
     )
     def test_bad_value_names_line(self, tmp_path, row, message):
         path = write(tmp_path, "g.csv", f"1,1,10,20,5,5,1\n{row}\n")

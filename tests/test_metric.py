@@ -263,6 +263,15 @@ _margins = arrays(
         st.floats(allow_nan=False, allow_infinity=False),
     ),
 )
+# 600 terms of magnitude at most 1e305 sum to at most 6e307, below the
+# largest float, so every sum and loss over these margins is finite
+_summable_margins = arrays(
+    np.float64,
+    st.integers(0, 600),
+    elements=st.one_of(
+        st.sampled_from(_EDGE_VALUES), st.floats(-1e3, 1e3), st.floats(-1e305, 1e305)
+    ),
+)
 
 
 @requires_fork
@@ -337,11 +346,13 @@ class TestExactRewrites:
         got = metric_module._sigmoid(a)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    @given(_margins)
+    @given(_summable_margins)
     @example(np.array(_EDGE_VALUES))
     @example(np.full(300, 1e3))
     def test_hinge_sum_bounds_logistic_loss(self, a):
-        assert float(np.maximum(a, 0.0).sum()) <= metric_module._logistic_loss(a)
+        loss = metric_module._logistic_loss(a)
+        assert math.isfinite(loss)
+        assert float(np.maximum(a, 0.0).sum()) <= loss
 
 
 class TestDistance:
