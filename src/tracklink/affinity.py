@@ -1,12 +1,14 @@
 """Pairwise tracklet affinities: one scoring rule per ingredient.
 
-The link a -> b scores S = P_m ** lambda * P_a * C.  ``gate`` gives the
-binary limiting constraints C = c_t * c_e, ``appearance_score`` maps a
-pair's appearance distance product (each tracklet's mean learned
-distance to the other's probe) to P_a, ``assess_difficult`` flags
-occlusion-difficult tracklets, and ``link_score`` clamps P_m, applies
-the motion weight lambda (1 unless the pair is flagged) and returns
-(lambda, S, -log S).  All affinities are computed per local segment.  An
+The link a -> b scores S = P_m ** lambda * P_a * C.  The limiting
+constraints C are ``candidate_pairs``' rule: it offers a -> b only when b
+starts after a ends and a did not leave the scene through the exit band,
+so every scored row has C = 1.  ``appearance_score`` maps a pair's
+appearance distance product (each tracklet's mean learned distance to
+the other's probe) to P_a, ``assess_difficult`` flags occlusion-difficult
+tracklets, and ``link_score`` clamps P_m, applies the motion weight
+lambda (1 unless the pair is flagged) and returns (lambda, S, -log S).
+All affinities are computed per local segment.  An
 AffinityTable keeps every ingredient per ordered pair, so
 ``refit_lambdas`` rebuilds a table under other motion weights by
 rescoring only its flagged rows; every other row has lambda = 1 under
@@ -19,17 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from tracklink.dynamics import NEG_INF, motion_similarity
+from tracklink.dynamics import motion_similarity
 from tracklink.metric import TargetMetric, metric_distance, probe
-from tracklink.model import (
-    Box,
-    ExitMap,
-    RunConfig,
-    Tracklet,
-    gap_frames,
-    intersection_area,
-    temporal_overlap,
-)
+from tracklink.model import Box, ExitMap, RunConfig, Tracklet, gap_frames, intersection_area
 
 SCORE_FLOOR = 1e-12
 
@@ -42,8 +36,6 @@ class AffinityRow:
     j: int
     p_m: float
     p_a: float
-    c_t: int
-    c_e: int
     flagged: bool
     gap: int
     lam: float
@@ -56,17 +48,6 @@ class AffinityTable:
     segment_index: int
     rows: tuple[AffinityRow, ...]
     gamma: float
-
-
-def gate(a: Tracklet, b: Tracklet, exit_map: ExitMap | None) -> tuple[int, int]:
-    """Limiting constraints (c_t, c_e) of the link a -> b: c_t is 0 when
-    the frame spans overlap; c_e is 0 when b does not start after a ends
-    or when a ended inside the exit band (it left the scene and cannot
-    continue as b)."""
-    c_t = 0 if temporal_overlap(a, b) else 1
-    exited = exit_map is not None and exit_map.exited(a)
-    c_e = 0 if b.start <= a.end or exited else 1
-    return c_t, c_e
 
 
 def appearance_score(product: float | None, gamma: float) -> float:
@@ -131,20 +112,16 @@ def motion_weight(flagged: bool, gap: int, cfg: RunConfig) -> float:
 def link_score(
     p_m: float,
     p_a: float,
-    c: int,
     flagged: bool,
     gap: int,
     cfg: RunConfig,
 ) -> tuple[float, float, float]:
-    """The one scoring rule: (lambda, S, -log S) of a link.  S is
-    (P_m ** lambda) * P_a * C with P_m clamped to [0, 1] and 0^0 = 1; it
-    is zero on temporal conflict (P_m = -inf) or a closed gate."""
+    """The one scoring rule: (lambda, S, -log S) of a candidate link.  S
+    is (P_m ** lambda) * P_a with P_m clamped to [0, 1] and 0^0 = 1; C = 1
+    on every pair ``candidate_pairs`` offers."""
     lam = motion_weight(flagged, gap, cfg)
-    if c == 0 or p_m == NEG_INF:
-        score = 0.0
-    else:
-        powered = 1.0 if lam == 0.0 else max(0.0, min(1.0, p_m)) ** lam
-        score = powered * p_a
+    powered = 1.0 if lam == 0.0 else max(0.0, min(1.0, p_m)) ** lam
+    score = powered * p_a
     return lam, score, transition_cost(score)
 
 
@@ -162,17 +139,22 @@ def candidate_pairs(
     segment_tracklets: list[Tracklet],
     later_tracklets: list[Tracklet],
     cfg: RunConfig,
+    exit_map: ExitMap | None,
 ) -> list[tuple[Tracklet, Tracklet]]:
-    """Ordered linkable pairs scored within one segment table: every pair
-    of the segment's own tracklets in which b starts after a ends, then
-    every link from one of them to a later segment's tracklet b that
-    starts after a ends with at most gap_bound empty frames between them
-    (the short-gap bound of ``motion_weight``)."""
+    """Ordered linkable pairs scored within one segment table, the one
+    home of the limiting constraints: a link a -> b needs b to start
+    after a ends, and a must not have ended inside the exit band (it left
+    the scene and nothing continues it; an exited tracklet may still be
+    a b).  Offered are every such pair of the segment's own tracklets,
+    then every link from one of them to a later segment's tracklet b
+    with at most gap_bound empty frames between them (the short-gap
+    bound of ``motion_weight``)."""
     inside = sorted(segment_tracklets, key=lambda t: t.id)
     later = sorted(later_tracklets, key=lambda t: t.id)
-    pairs = [(a, b) for a in inside for b in inside if b.start > a.end]
+    starts = [a for a in inside if exit_map is None or not exit_map.exited(a)]
+    pairs = [(a, b) for a in starts for b in inside if b.start > a.end]
     pairs += [
-        (a, b) for a in inside for b in later if a.end < b.start <= a.end + 1 + cfg.gap_bound
+        (a, b) for a in starts for b in later if a.end < b.start <= a.end + 1 + cfg.gap_bound
     ]
     return pairs
 
@@ -183,32 +165,27 @@ def build_affinity_table(
     metrics: dict[int, TargetMetric],
     flagged_ids: set[int],
     cfg: RunConfig,
-    exit_map: ExitMap | None,
     use_appearance: bool = True,
 ) -> AffinityTable:
-    """Score every candidate pair of a segment.
+    """Score every candidate pair of a segment (``candidate_pairs``).
 
-    gamma normalizes appearance per segment: the smallest admissible
+    gamma normalizes appearance per segment: the smallest positive
     distance product, so the best pair's P_a is exactly 1 and every P_a
-    lies in (0, 1].  Appearance is measured only on pairs the gate
-    leaves open.
+    lies in (0, 1].
     """
-    staged = []
-    for a, b in pairs:
-        c_t, c_e = gate(a, b, exit_map)
-        product = None
-        if use_appearance and c_t * c_e == 1:
-            product = appearance_distance_product(a, b, metrics, cfg)
-        staged.append((a, b, c_t, c_e, product))
-    gamma = min((p for *_, p in staged if p is not None and p > 0.0), default=1.0)
+    products = [
+        appearance_distance_product(a, b, metrics, cfg) if use_appearance else None
+        for a, b in pairs
+    ]
+    gamma = min((p for p in products if p is not None and p > 0.0), default=1.0)
     rows = []
-    for a, b, c_t, c_e, product in staged:
+    for (a, b), product in zip(pairs, products):
         p_m = motion_similarity(a, b, cfg.rank_tol)
         p_a = appearance_score(product, gamma)
-        gap = gap_frames(a, b) if b.start > a.end else 0
+        gap = gap_frames(a, b)
         flagged = a.id in flagged_ids or b.id in flagged_ids
-        scored = link_score(p_m, p_a, c_t * c_e, flagged, gap, cfg)
-        rows.append(AffinityRow(a.id, b.id, p_m, p_a, c_t, c_e, flagged, gap, *scored))
+        scored = link_score(p_m, p_a, flagged, gap, cfg)
+        rows.append(AffinityRow(a.id, b.id, p_m, p_a, flagged, gap, *scored))
     return AffinityTable(segment_index=segment_index, rows=tuple(rows), gamma=gamma)
 
 
@@ -218,8 +195,8 @@ def refit_lambdas(table: AffinityTable, cfg: RunConfig) -> AffinityTable:
     weights and is passed through unchanged."""
     rows = tuple(
         AffinityRow(
-            r.i, r.j, r.p_m, r.p_a, r.c_t, r.c_e, r.flagged, r.gap,
-            *link_score(r.p_m, r.p_a, r.c_t * r.c_e, r.flagged, r.gap, cfg),
+            r.i, r.j, r.p_m, r.p_a, r.flagged, r.gap,
+            *link_score(r.p_m, r.p_a, r.flagged, r.gap, cfg),
         )
         if r.flagged
         else r

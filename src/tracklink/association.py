@@ -100,14 +100,15 @@ class TrackingResult:
 
 
 def infer_frame_size(detections: dict[int, list[Detection]], cfg: RunConfig):
-    if cfg.frame_width > 0 and cfg.frame_height > 0:
-        return cfg.frame_width, cfg.frame_height
-    width = height = 0.0
-    for dets in detections.values():
-        for d in dets:
-            width = max(width, d.box[0] + d.box[2])
-            height = max(height, d.box[1] + d.box[3])
-    return width, height
+    """(width, height) of the frame.  A dimension the config sets is kept;
+    one it leaves at 0 is inferred on its own, as the largest right (or
+    bottom) box edge in the data, and at least 0."""
+
+    def far_edge(axis: int) -> float:
+        edges = [d.box[axis] + d.box[axis + 2] for dets in detections.values() for d in dets]
+        return max([0.0] + edges)
+
+    return cfg.frame_width or far_edge(0), cfg.frame_height or far_edge(1)
 
 
 def _validate(detections: dict[int, list[Detection]]) -> bool:
@@ -206,12 +207,10 @@ def prepare_reliable_tracklets(
     seen = 0
     for k, seg_tracklets in reliable_per_segment.items():
         seen += len(seg_tracklets)  # reliable[seen:] lies in later segments
-        pairs = aff.candidate_pairs(seg_tracklets, reliable[seen:], cfg)
-        if not pairs:
-            continue
-        tables.append(
-            aff.build_affinity_table(k, pairs, metrics, flagged_ids, cfg, exit_map, appearance)
-        )
+        pairs = aff.candidate_pairs(seg_tracklets, reliable[seen:], cfg, exit_map)
+        if pairs:
+            table = aff.build_affinity_table(k, pairs, metrics, flagged_ids, cfg, appearance)
+            tables.append(table)
     return TrackingResult([], reliable, tables, flagged_ids)
 
 

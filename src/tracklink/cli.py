@@ -136,13 +136,13 @@ def cmd_dump_affinity(args) -> int:
     state = prepare_reliable_tracklets(detections, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = "i,j,p_m,p_a,c_t,c_e,flagged,gap,lambda,score,cost"
+    header = "i,j,p_m,p_a,flagged,gap,lambda,score,cost"
     for table in state.tables:
         lines = [header]
         for r in table.rows:
             lines.append(
-                f"{r.i},{r.j},{r.p_m:.6g},{r.p_a:.6g},{r.c_t},{r.c_e},"
-                f"{int(r.flagged)},{r.gap},{r.lam:.6g},{r.score:.6g},{r.cost:.6g}"
+                f"{r.i},{r.j},{r.p_m:.6g},{r.p_a:.6g},{int(r.flagged)},"
+                f"{r.gap},{r.lam:.6g},{r.score:.6g},{r.cost:.6g}"
             )
         path = out_dir / f"affinity_segment_{table.segment_index:03d}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

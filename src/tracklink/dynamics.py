@@ -23,8 +23,6 @@ from tracklink.model import Tracklet
 
 log = logging.getLogger(__name__)
 
-NEG_INF = float("-inf")
-
 # Similarity granted when a tracklet is too short to build a Hankel
 # window; neutral between the same-dynamics (1) and unrelated (0) poles.
 SHORT_TRACKLET_SIMILARITY = 0.5
@@ -91,18 +89,17 @@ def interpolate_gap(a: Tracklet, b: Tracklet) -> np.ndarray:
 def motion_similarity(a: Tracklet, b: Tracklet, tau: float) -> float:
     """Rank-ratio motion similarity of linking a -> b.
 
-    Returns -inf on temporal conflict (b does not start after a ends).
+    Raises ValueError unless b starts after a ends (``interpolate_gap``).
     Tracklets too short for a Hankel window get the neutral fallback
     similarity.  Values outside [0, 1] can occur when the joint rank
     under- or overshoots; they are logged and passed through unclamped.
     """
-    if b.start <= a.end:
-        return NEG_INF
+    joint = interpolate_gap(a, b)
     if a.length < 3 or b.length < 3:
         return SHORT_TRACKLET_SIMILARITY
     rank_a = own_rank(a, tau)
     rank_b = own_rank(b, tau)
-    rank_joint = estimate_rank(build_hankel(interpolate_gap(a, b)), tau)
+    rank_joint = estimate_rank(build_hankel(joint), tau)
     if rank_joint == 0:
         return SHORT_TRACKLET_SIMILARITY
     similarity = (rank_a + rank_b) / rank_joint - 1.0

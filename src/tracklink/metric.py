@@ -148,9 +148,12 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     difference vectors.  Column k is initialized with the dominant
     eigenvector of the pair-weighted second-moment difference, projected
     onto the orthogonal complement of columns 1..k-1, then descended with
-    Armijo backtracking.  Columns stop at r_max or when the relative loss
-    improvement drops below 1e-4; the loss never increases.  A column
-    whose loss is not finite raises ValueError.
+    Armijo backtracking.  Column 0 is kept whatever its loss, even one
+    above the loss of the empty metric; each later column is kept only
+    when it lowers the loss by at least 1e-4 relative.  The first column
+    that falls short of that (column 0 included) is the last one tried,
+    and at most r_max are kept.  A column whose loss is not finite raises
+    ValueError.
 
     A backtracking candidate with pair margins ``a`` is rejected without
     evaluating its loss when ``sum(max(a, 0))`` already exceeds the Armijo

@@ -221,11 +221,6 @@ class ExitMap:
         )
 
 
-def temporal_overlap(a: Tracklet, b: Tracklet) -> bool:
-    """True iff the frame spans of the two tracklets intersect."""
-    return a.start <= b.end and b.start <= a.end
-
-
 def iou(box_a: Box, box_b: Box) -> float:
     """Intersection-over-union of two (x, y, w, h) boxes."""
     inter = intersection_area(box_a, box_b)

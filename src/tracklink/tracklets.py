@@ -30,10 +30,9 @@ from tracklink.model import Detection, RunConfig, Tracklet
 
 
 def detection_cost(score: float) -> float:
-    """Negative log-odds of a detector score in (0, 1); negative for
-    scores above 0.5, which makes confident chains profitable."""
-    if not (0.0 < score < 1.0):
-        raise ValueError(f"detection score must lie strictly in (0, 1), got {score}")
+    """Negative log-odds of a detector score in (0, 1) (``Detection``
+    checks the range); negative for scores above 0.5, which makes
+    confident chains profitable."""
     return -math.log(score / (1.0 - score))
 
 

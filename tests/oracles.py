@@ -413,8 +413,6 @@ def reference_joint_centers(a, b):
 
 
 def reference_motion_similarity(a, b, tau):
-    if b.start <= a.end:  # also every temporal overlap
-        return float("-inf")
     if a.length < 3 or b.length < 3:
         return 0.5
     rank_a = _reference_rank(reference_hankel(tuple(d.center for d in a.detections)), tau)

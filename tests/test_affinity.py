@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import tracklink.dynamics as dynamics
 from tracklink import affinity as aff
-from tracklink.dynamics import NEG_INF
 from tracklink.metric import identity_metric, learn_segment_metrics
 from tracklink.model import ExitMap, RunConfig, gap_frames
 
@@ -18,31 +17,6 @@ def feature_tracklet(tid, start, length, center, rng, y=60.0, x0=50.0, noise=1.0
     feats = cluster_features(rng, center, length, noise)
     centers = [(x0 + 2.0 * i, y) for i in range(length)]
     return make_tracklet(tid, start, centers=centers, features=feats)
-
-
-class TestLimiting:
-    """The gate (c_t, c_e) of a link, arguments in link order."""
-
-    def setup_method(self):
-        self.exit_map = ExitMap(width=640, height=480, band=24.0)
-
-    def test_overlap_gate(self):
-        earlier = make_tracklet(2, 1, length=10)
-        later = make_tracklet(1, 5, length=10)
-        assert aff.gate(earlier, later, self.exit_map) == (0, 0)
-
-    def test_exit_band_gate(self):
-        earlier = make_tracklet(2, 1, centers=[(5.0, 60.0), (6.0, 60.0)])
-        later = make_tracklet(1, 10, length=5)
-        assert self.exit_map.exited(earlier)
-        assert aff.gate(earlier, later, self.exit_map) == (1, 0)
-        assert aff.gate(earlier, later, None) == (1, 1)
-
-    def test_interior_disjoint_passes(self):
-        earlier = make_tracklet(2, 1, centers=[(300.0, 200.0), (302.0, 200.0)])
-        later = make_tracklet(1, 10, centers=[(310.0, 200.0), (312.0, 200.0)])
-        assert not self.exit_map.exited(earlier)
-        assert aff.gate(earlier, later, self.exit_map) == (1, 1)
 
 
 def _p_a(a, b, metrics, cfg=RunConfig()):
@@ -148,37 +122,33 @@ class TestFusedScore:
     """The fused score S, the second item of ``link_score``."""
 
     def test_unflagged_identity_weight(self):
-        assert aff.link_score(1.0, 0.8, 1, False, 5, RunConfig())[1] == pytest.approx(0.8)
+        assert aff.link_score(1.0, 0.8, False, 5, RunConfig())[1] == pytest.approx(0.8)
 
     def test_flagged_long_gap_uses_level_two(self):
         cfg = RunConfig(lambda1=0.5, lambda2=0.2)
-        s = aff.link_score(0.5, 0.8, 1, True, 25, cfg)[1]
+        s = aff.link_score(0.5, 0.8, True, 25, cfg)[1]
         assert s == pytest.approx(0.5**0.2 * 0.8)
         assert s == pytest.approx(0.696440, abs=1e-5)
 
-    def test_gate_zeroes(self):
-        assert aff.link_score(0.9, 0.8, 0, False, 5, RunConfig())[1] == 0.0
-        assert aff.link_score(NEG_INF, 0.8, 1, False, 5, RunConfig())[1] == 0.0
-
     def test_zero_weight_ignores_motion(self):
         cfg = RunConfig(lambda1=0.0)
-        assert aff.link_score(0.0, 0.7, 1, True, 5, cfg)[1] == pytest.approx(0.7)
+        assert aff.link_score(0.0, 0.7, True, 5, cfg)[1] == pytest.approx(0.7)
 
     def test_monotone_in_motion(self):
         cfg = RunConfig()
-        values = [aff.link_score(p, 0.8, 1, True, 5, cfg)[1] for p in (0.1, 0.4, 0.7, 1.0)]
+        values = [aff.link_score(p, 0.8, True, 5, cfg)[1] for p in (0.1, 0.4, 0.7, 1.0)]
         assert values == sorted(values)
 
     def test_lower_weight_raises_score_for_weak_motion(self):
         base = RunConfig(lambda1=0.9)
         softer = RunConfig(lambda1=0.2)
-        strong = aff.link_score(0.3, 0.8, 1, True, 5, base)[1]
-        soft = aff.link_score(0.3, 0.8, 1, True, 5, softer)[1]
+        strong = aff.link_score(0.3, 0.8, True, 5, base)[1]
+        soft = aff.link_score(0.3, 0.8, True, 5, softer)[1]
         assert soft > strong
 
     def test_adjacent_flagged_pair_keeps_full_weight(self):
         cfg = RunConfig(lambda1=0.5)
-        assert aff.link_score(0.25, 1.0, 1, True, 0, cfg)[1] == pytest.approx(0.25)
+        assert aff.link_score(0.25, 1.0, True, 0, cfg)[1] == pytest.approx(0.25)
 
 
 class TestTransitionCost:
@@ -192,6 +162,18 @@ class TestTransitionCost:
             aff.transition_cost(-0.1)
 
 
+@pytest.fixture
+def exit_scene():
+    """An exit map, a tracklet that ends inside its 24 px band and two
+    interior ones after it."""
+    exit_map = ExitMap(width=640, height=480, band=24.0)
+    exited = make_tracklet(1, 1, centers=[(5.0, 60.0), (6.0, 60.0)])
+    interior = make_tracklet(2, 10, centers=[(300.0, 200.0), (302.0, 200.0)])
+    later = make_tracklet(3, 20, centers=[(310.0, 200.0), (312.0, 200.0)])
+    assert exit_map.exited(exited) and not exit_map.exited(interior)
+    return exit_map, exited, interior, later
+
+
 class TestCandidatePairs:
     def test_successor_measured_from_the_end_of_a_long_tracklet(self):
         # a starts in segment 1 (frames 51-100) and runs into segment 2; b
@@ -201,22 +183,41 @@ class TestCandidatePairs:
         b = make_tracklet(2, 127, length=10)
         c = make_tracklet(3, 142, length=10)
         assert (a.end, gap_frames(a, b), gap_frames(a, c)) == (120, 6, 21)
-        pairs = aff.candidate_pairs([a], [c, b], cfg)
+        pairs = aff.candidate_pairs([a], [c, b], cfg, None)
         assert [(x.id, y.id) for x, y in pairs] == [(1, 2)]
 
     def test_in_segment_pairs_need_no_gap_bound(self):
         a = make_tracklet(1, 1, length=5)
         b = make_tracklet(2, 40, length=5)
         overlapping = make_tracklet(3, 3, length=10)
-        pairs = aff.candidate_pairs([b, overlapping, a], [], RunConfig())
+        pairs = aff.candidate_pairs([b, overlapping, a], [], RunConfig(), None)
         assert [(x.id, y.id) for x, y in pairs] == [(1, 2), (3, 2)]
 
     def test_later_tracklet_must_start_after_the_end(self):
         a = make_tracklet(1, 40, length=20)
         overlapping = make_tracklet(2, 55, length=10)
         adjacent = make_tracklet(3, 60, length=10)
-        pairs = aff.candidate_pairs([a], [overlapping, adjacent], RunConfig(gap_bound=0))
+        pairs = aff.candidate_pairs([a], [overlapping, adjacent], RunConfig(gap_bound=0), None)
         assert [(x.id, y.id) for x, y in pairs] == [(1, 3)]
+
+    def test_exited_tracklet_starts_no_pair(self, exit_scene):
+        exit_map, exited, interior, later = exit_scene
+        pairs = aff.candidate_pairs([exited, interior], [later], RunConfig(), exit_map)
+        assert [(x.id, y.id) for x, y in pairs] == [(2, 3)]
+
+    def test_exited_tracklet_can_end_a_pair(self, exit_scene):
+        exit_map = exit_scene[0]
+        entering = make_tracklet(4, 1, centers=[(300.0, 60.0), (302.0, 60.0)])
+        leaving = make_tracklet(5, 8, centers=[(620.0, 60.0), (630.0, 60.0)])
+        assert exit_map.exited(leaving)
+        for inside, later in (([entering, leaving], []), ([entering], [leaving])):
+            pairs = aff.candidate_pairs(inside, later, RunConfig(), exit_map)
+            assert [(x.id, y.id) for x, y in pairs] == [(4, 5)]
+
+    def test_without_exit_map_exited_tracklet_starts_pairs(self, exit_scene):
+        _, exited, interior, later = exit_scene
+        pairs = aff.candidate_pairs([exited, interior], [later], RunConfig(), None)
+        assert [(x.id, y.id) for x, y in pairs] == [(1, 2), (1, 3), (2, 3)]
 
 
 class TestTableAssembly:
@@ -228,8 +229,8 @@ class TestTableAssembly:
         tracklets = [t1, t2, t3]
         cfg = RunConfig()
         metrics, _ = learn_segment_metrics(tracklets, "reliable", cfg)
-        pairs = aff.candidate_pairs(tracklets, [], cfg)
-        return aff.build_affinity_table(0, pairs, metrics, set(), cfg, None, use_appearance=True)
+        pairs = aff.candidate_pairs(tracklets, [], cfg, None)
+        return aff.build_affinity_table(0, pairs, metrics, set(), cfg, use_appearance=True)
 
     def test_best_pair_p_a_is_exactly_one(self, rng):
         table = self._segment(rng)
@@ -239,24 +240,6 @@ class TestTableAssembly:
         table = self._segment(rng)
         assert table.gamma > 0.0
         assert all(0.0 < row.p_a <= 1.0 for row in table.rows)
-
-    def test_closed_gate_rows_emit_no_edge(self, rng):
-        from tracklink.association import build_association_graph
-        from tracklink.flow import SOURCE, SINK
-
-        cA, _ = two_cluster_centers(rng)
-        exiting = feature_tracklet(1, 1, 6, cA, rng, x0=3.0, y=4.0)
-        later = feature_tracklet(2, 10, 6, cA, rng, x0=300.0, y=200.0)
-        cfg = RunConfig()
-        exit_map = ExitMap(width=640, height=480, band=24.0)
-        metrics = {1: identity_metric(1, cA.size), 2: identity_metric(2, cA.size)}
-        pairs = aff.candidate_pairs([exiting, later], [], cfg)
-        table = aff.build_affinity_table(0, pairs, metrics, set(), cfg, exit_map)
-        closed = [row for row in table.rows if row.c_e == 0]
-        assert closed, "exit-band row expected"
-        graph = build_association_graph([exiting, later], [table], cfg)
-        interior = [(u, v) for u, v, _ in graph.edges if u != SOURCE and v != SINK]
-        assert (1, 2) not in interior
 
     def test_refit_lambdas_reuses_ingredients(self, rng):
         import dataclasses
@@ -287,10 +270,10 @@ class TestTableAssembly:
             feature_tracklet(4, 40, 8, cB, rng, y=300.0),
         ]
         metrics, _ = learn_segment_metrics(tracklets, "reliable", RunConfig())
-        pairs = aff.candidate_pairs(tracklets, [], RunConfig())
+        pairs = aff.candidate_pairs(tracklets, [], RunConfig(), None)
 
         def build(cfg):
-            return aff.build_affinity_table(0, pairs, metrics, {2, 4}, cfg, None)
+            return aff.build_affinity_table(0, pairs, metrics, {2, 4}, cfg)
 
         return build
 
@@ -331,8 +314,8 @@ class TestTableAssembly:
             ]
         ]
         cfg = RunConfig()
-        pairs = aff.candidate_pairs(tracklets, [], cfg)
-        table = aff.build_affinity_table(0, pairs, {}, set(), cfg, None, use_appearance=False)
+        pairs = aff.candidate_pairs(tracklets, [], cfg, None)
+        table = aff.build_affinity_table(0, pairs, {}, set(), cfg, use_appearance=False)
         assert len(table.rows) == len(pairs) > len(tracklets)
         assert len(calls) <= len(table.rows) + len({t.id for t in tracklets})
         by_id = {t.id: t for t in tracklets}

@@ -14,11 +14,12 @@ from tracklink import affinity as aff
 from tracklink import association
 from tracklink.association import (
     associate,
+    infer_frame_size,
     interpolate_members,
     segment_index_of,
     track_sequence,
 )
-from tracklink.model import RunConfig, temporal_overlap, gap_frames
+from tracklink.model import Detection, RunConfig, gap_frames
 from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
 
 from conftest import make_tracklet, requires_fork
@@ -26,7 +27,7 @@ from conftest import make_tracklet, requires_fork
 
 def row(i, j, score, gap=1):
     return aff.AffinityRow(
-        i=i, j=j, p_m=1.0, p_a=score, c_t=1, c_e=1, flagged=False, gap=gap,
+        i=i, j=j, p_m=1.0, p_a=score, flagged=False, gap=gap,
         lam=1.0, score=score, cost=(-math.log(score) if score > 0 else math.inf),
     )
 
@@ -42,6 +43,17 @@ class TestPartition:
         # segments count from the first frame that holds a detection
         assert segment_index_of(t, 1 - 17, RunConfig()) == 1
         assert segment_index_of(make_tracklet(2, 49 + 17, length=20), 1 + 17, RunConfig()) == 0
+
+
+def test_infer_frame_size_keeps_a_set_dimension():
+    # the largest right edge is 310, the largest bottom edge 110
+    detections = {
+        1: [Detection(1, (100.0, 50.0, 20.0, 60.0), 0.9)],
+        2: [Detection(2, (300.0, 80.0, 10.0, 20.0), 0.9)],
+    }
+    assert infer_frame_size(detections, RunConfig(frame_width=1280)) == (1280, 110.0)
+    assert infer_frame_size(detections, RunConfig(frame_height=720)) == (310.0, 720)
+    assert infer_frame_size(detections, RunConfig()) == (310.0, 110.0)
 
 
 class TestAssociate:
@@ -86,8 +98,7 @@ class TestAssociate:
         assert ids == (1, 2, 3)
         by_id = {t.id: t for t in tracklets}
         for a, b in zip(ids, ids[1:]):
-            assert not temporal_overlap(by_id[a], by_id[b])
-            assert gap_frames(by_id[a], by_id[b]) >= 0
+            assert gap_frames(by_id[a], by_id[b]) >= 0  # raises on an overlap
 
     def test_interpolation_fills_gaps(self):
         t1 = make_tracklet(1, 1, centers=[(0.0, 0.0), (2.0, 0.0)])

@@ -65,6 +65,24 @@ class TestGenerate:
             for d in dets:
                 assert d.box == pytest.approx(gt_map[d.id_hint][frame])
 
+    def test_merge_gives_the_visible_target_the_union_box(self):
+        # target 2 is hidden over frames 31-40; target 1 stays visible
+        occlusion = OcclusionSpec(targets=(1, 2), frames=(31, 40), hide=(2,), merge=True)
+        spec = crossing_spec(pos_noise=0.0, occlusions=(occlusion,))
+        detections, gt = generate_scenario(spec)
+        truth = {ident: dict(track) for ident, track in gt.items()}
+        for frame, dets in detections.items():
+            (box,) = [d.box for d in dets if d.id_hint == 1]
+            if 31 <= frame <= 40:
+                assert 2 not in {d.id_hint for d in dets}
+                (x1, y1, w1, h1), (x2, y2, w2, h2) = truth[1][frame], truth[2][frame]
+                x, y = min(x1, x2), min(y1, y2)
+                union = (x, y, max(x1 + w1, x2 + w2) - x, max(y1 + h1, y2 + h2) - y)
+                assert box == pytest.approx(union)
+                assert box != pytest.approx(truth[1][frame])
+            else:
+                assert box == pytest.approx(truth[1][frame])
+
     def test_deterministic_files(self, tmp_path):
         spec = crossing_spec()
         a = write_scenario(spec, tmp_path / "a")
@@ -205,7 +223,7 @@ class TestCli:
         files = list(dump.glob("affinity_segment_*.csv"))
         assert files
         header = files[0].read_text().splitlines()[0]
-        assert header == "i,j,p_m,p_a,c_t,c_e,flagged,gap,lambda,score,cost"
+        assert header == "i,j,p_m,p_a,flagged,gap,lambda,score,cost"
 
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

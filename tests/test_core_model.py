@@ -2,29 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tracklink.model import Detection, RunConfig, Tracklet, gap_frames, iou, temporal_overlap
+from tracklink.model import Detection, RunConfig, Tracklet, gap_frames, iou
 
 from conftest import make_tracklet
 
 
 def span(tid, start, end):
     return make_tracklet(tid, start, length=end - start + 1)
-
-
-class TestTemporalOverlap:
-    def test_overlapping(self):
-        assert temporal_overlap(span(1, 1, 10), span(2, 5, 12)) is True
-
-    def test_disjoint(self):
-        assert temporal_overlap(span(1, 1, 10), span(2, 11, 20)) is False
-
-    def test_single_shared_frame(self):
-        assert temporal_overlap(span(1, 1, 10), span(2, 10, 15)) is True
-
-    @given(st.integers(1, 40), st.integers(0, 10), st.integers(1, 40), st.integers(0, 10))
-    def test_symmetric(self, s1, l1, s2, l2):
-        a, b = span(1, s1, s1 + l1), span(2, s2, s2 + l2)
-        assert temporal_overlap(a, b) == temporal_overlap(b, a)
 
 
 class TestIou:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import tracklink.dynamics as dynamics
 from tracklink.dynamics import (
-    NEG_INF,
     SHORT_TRACKLET_SIMILARITY,
     build_hankel,
     estimate_rank,
@@ -143,10 +142,13 @@ class TestMotionSimilarity:
         b = make_tracklet(2, 16, centers=line_points(12, (300.0, 200.0), (-8.0, 15.0)))
         assert motion_similarity(a, b, TAU) <= 0.1
 
-    def test_overlap_is_neg_inf(self):
-        a = make_tracklet(1, 1, length=10)
-        b = make_tracklet(2, 5, length=10)
-        assert motion_similarity(a, b, TAU) == NEG_INF
+    def test_pair_that_does_not_go_forward_raises(self):
+        # short tracklets too, which take the fallback when b is after a
+        for length in (1, 2, 10):
+            a = make_tracklet(1, 1, length=length)
+            for b in (make_tracklet(2, a.end, length=10), make_tracklet(3, 1, length=length)):
+                with pytest.raises(ValueError, match="needs b after a"):
+                    motion_similarity(a, b, TAU)
 
     def test_short_tracklet_fallback(self):
         a = make_tracklet(1, 1, centers=[(0.0, 0.0), (1.0, 1.0)])
@@ -230,8 +232,9 @@ _KINDS = st.sampled_from(["noisy", "grid", "constant", "zero"])
 
 class TestReferenceEquivalence:
     """motion_similarity equals the three-SVD tuple path in ``oracles``
-    exactly, -inf and the 0.5 fallback included; the joint sequence and
-    its Hankel matrix equal the reference's bit for bit."""
+    exactly, the 0.5 fallback included, and raises on a pair that
+    overlaps; the joint sequence and its Hankel matrix equal the
+    reference's bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -246,17 +249,18 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(seed)
         a = make_tracklet(1, 30, centers=_centers(kind_a, len_a, rng).tolist())
         b = make_tracklet(2, a.end + 1 + offset, centers=_centers(kind_b, len_b, rng).tolist())
-        if offset >= 0:
-            joint = interpolate_gap(a, b)
-            assert joint.tolist() == [list(p) for p in reference_joint_centers(a, b)]
-            if len(joint) >= 3:
-                assert np.array_equal(build_hankel(joint), reference_hankel(joint.tolist()))
+        if offset < 0:
+            with pytest.raises(ValueError):
+                motion_similarity(a, b, TAU)
+            return
+        joint = interpolate_gap(a, b)
+        assert joint.tolist() == [list(p) for p in reference_joint_centers(a, b)]
+        if len(joint) >= 3:
+            assert np.array_equal(build_hankel(joint), reference_hankel(joint.tolist()))
         for tau in (TAU, 0.1, TAU):  # a second tolerance, then the memo again
             got = motion_similarity(a, b, tau)
             assert got == reference_motion_similarity(a, b, tau)
-            if offset < 0:
-                assert got == NEG_INF
-            elif min(len_a, len_b) < 3 or kind_a == kind_b == "zero":
+            if min(len_a, len_b) < 3 or kind_a == kind_b == "zero":
                 assert got == SHORT_TRACKLET_SIMILARITY
 
     def test_own_rank_estimated_once(self, monkeypatch):

@@ -7,7 +7,9 @@ and a frame offset shifts them by the offset (segments count from the
 first frame that holds a detection).  Trajectories are compared by their
 per-frame boxes, not by ids.  Every output must also keep the pipeline
 invariants: each reliable tracklet lies in exactly one trajectory, no
-detection is used twice and no trajectory has a frame gap.
+detection is used twice, no trajectory has a frame gap, and every
+affinity row links a tracklet that did not end in the exit band to one
+that starts after it ends.
 """
 
 import dataclasses
@@ -15,8 +17,8 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tracklink.association import track_sequence
-from tracklink.model import RunConfig
+from tracklink.association import infer_frame_size, track_sequence
+from tracklink.model import ExitMap, RunConfig
 from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
 
 N_FRAMES = 120  # three segments of the default 50 frames
@@ -52,7 +54,7 @@ def _boxes(trajectories, offset=0):
     return sorted(tuple((f - offset, box) for f, box in t.interpolated) for t in trajectories)
 
 
-def _assert_invariants(state, detections):
+def _assert_invariants(state, detections, cfg):
     by_id = {t.id: t for t in state.reliable_tracklets}
     members = [tid for traj in state.trajectories for tid in traj.tracklet_ids]
     assert sorted(members) == sorted(by_id)  # each reliable tracklet exactly once
@@ -62,6 +64,11 @@ def _assert_invariants(state, detections):
     for traj in state.trajectories:
         frames = [f for f, _ in traj.interpolated]
         assert frames == list(range(frames[0], frames[-1] + 1))
+    exit_map = ExitMap.from_config(cfg, *infer_frame_size(detections, cfg))
+    for table in state.tables:
+        for row in table.rows:
+            assert not exit_map.exited(by_id[row.i])
+            assert by_id[row.j].start > by_id[row.i].end
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)
@@ -74,7 +81,7 @@ def _assert_invariants(state, detections):
 def test_transforms_with_known_effect(detections, order, flip_seed, offset):
     cfg = RunConfig()
     state = track_sequence(detections, cfg)
-    _assert_invariants(state, detections)
+    _assert_invariants(state, detections, cfg)
     expected = _boxes(state.trajectories)
 
     shuffled = {f: order.sample(dets, len(dets)) for f, dets in detections.items()}
@@ -93,5 +100,5 @@ def test_transforms_with_known_effect(detections, order, flip_seed, offset):
         for f, dets in detections.items()
     }
     moved_state = track_sequence(moved, cfg)
-    _assert_invariants(moved_state, moved)
+    _assert_invariants(moved_state, moved, cfg)
     assert _boxes(moved_state.trajectories, offset) == expected
