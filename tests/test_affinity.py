@@ -19,6 +19,18 @@ def feature_tracklet(tid, start, length, center, rng, y=60.0, x0=50.0, noise=1.0
     return make_tracklet(tid, start, centers=centers, features=feats)
 
 
+class TestLimiting:
+    def test_overlap_gate(self):
+        # two tracklets that share frames 5-10 are offered in neither order,
+        # whether both lie in the segment or one comes from the next
+        later = make_tracklet(1, 5, length=10)
+        earlier = make_tracklet(2, 1, length=10)
+        exit_map = ExitMap(width=640, height=480, band=24.0)
+        assert not exit_map.exited(earlier) and not exit_map.exited(later)
+        for inside, after in (([later, earlier], []), ([earlier], [later])):
+            assert aff.candidate_pairs(inside, after, RunConfig(), exit_map) == []
+
+
 def _p_a(a, b, metrics, cfg=RunConfig()):
     """P_a of a -> b at gamma = 1."""
     return aff.appearance_score(aff.appearance_distance_product(a, b, metrics, cfg), 1.0)
