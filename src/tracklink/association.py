@@ -22,7 +22,7 @@ import numpy as np
 from tracklink import affinity as aff
 from tracklink.flow import SINK, SOURCE, FlowGraph, solve_paths
 from tracklink.metric import learn_segment_metrics, refine_tracklets
-from tracklink.model import Box, Detection, ExitMap, RunConfig, Tracklet, Trajectory
+from tracklink.model import Box, Detection, ExitMap, RunConfig, Tracklet, Trajectory, check_frame
 from tracklink.tracklets import generate_initial_tracklets
 
 
@@ -113,19 +113,25 @@ def infer_frame_size(detections: dict[int, list[Detection]], cfg: RunConfig):
 
 def _validate(detections: dict[int, list[Detection]]) -> bool:
     """Reject input the pipeline would otherwise pass on: a frame key that
-    is not an int, a detection filed under another frame, a non-finite
-    feature, or features of more than one width; no feature counts as
-    the width None, so features on only some detections are rejected.
+    breaks ``check_frame``, a detection filed under another frame, a
+    feature that is not a non-empty 1-D vector or holds a non-finite
+    value, or features of more than one width; no feature counts as the
+    width None, so features on only some detections are rejected.
     Returns whether the detections carry features."""
     widths = set()
     for frame, dets in detections.items():
-        if not isinstance(frame, int):
-            raise ValueError(f"frame keys must be integers, got {frame!r}")
+        check_frame(frame)
         for d in dets:
             if d.frame != frame:
                 raise ValueError(f"a detection of frame {d.frame} is filed under frame {frame}")
-            if d.feature is not None and not np.isfinite(d.feature).all():
-                raise ValueError(f"frame {frame}: non-finite feature")
+            if d.feature is not None:
+                if np.ndim(d.feature) != 1 or np.size(d.feature) == 0:
+                    raise ValueError(
+                        f"frame {frame}: a feature must be a non-empty 1-D vector, "
+                        f"got shape {np.shape(d.feature)}"
+                    )
+                if not np.isfinite(d.feature).all():
+                    raise ValueError(f"frame {frame}: non-finite feature")
             widths.add(None if d.feature is None else np.shape(d.feature))
     if len(widths) > 1:
         raise ValueError(f"features of more than one width: {sorted(widths, key=str)}")
@@ -160,7 +166,8 @@ def prepare_reliable_tracklets(
 ) -> TrackingResult:
     """Everything up to (not including) the global solve: initial
     tracklet generation, per-segment two-step metric learning with
-    refinement, difficult-pair assessment and affinity tables.  The
+    refinement (the second step only when the appearance cue is used),
+    difficult-pair assessment and affinity tables.  The
     tables read each tracklet's reliable-phase metric from one map and
     its probe from the tracklet itself (``metric.probe``).  The input is
     validated first (``_validate``), before any worker starts.
@@ -169,6 +176,7 @@ def prepare_reliable_tracklets(
     (``_metric_pool``), which is shut down before this returns or
     raises; the output does not depend on the number of workers."""
     has_features = _validate(detections)
+    appearance = use_appearance and has_features
     width, height = infer_frame_size(detections, cfg)
     exit_map = ExitMap.from_config(cfg, width, height) if width and height else None
     first_frame = min((f for f, dets in detections.items() if dets), default=1)
@@ -192,7 +200,9 @@ def prepare_reliable_tracklets(
                     refined, cfg, exit_map=exit_map, next_id=next_id, executor=pool
                 )
                 next_id = max([next_id] + [t.id + 1 for t in refined])
-                # second-step update on the reliable tracklets, executed once
+            if appearance:
+                # second-step update on the reliable tracklets, executed
+                # once; only the appearance cue reads its metrics
                 learned = learn_segment_metrics(refined, "reliable", cfg, exit_map, executor=pool)
                 metrics.update(learned[0])
             reliable_per_segment[k] = refined
@@ -202,7 +212,6 @@ def prepare_reliable_tracklets(
     reliable = [t for seg in reliable_per_segment.values() for t in seg]
 
     flagged_ids = aff.assess_difficult(reliable, cfg)
-    appearance = use_appearance and has_features
     tables = []
     seen = 0
     for k, seg_tracklets in reliable_per_segment.items():

@@ -18,10 +18,15 @@ Each used node pays its own cost once, on the arc into ``in_v``.  Every
 perfect matching is a path cover of the same cost (the graph is acyclic,
 so predecessor chains end at the source) and every cover extends to a
 perfect matching, so the minimum-weight full matching, found by LAPJVsp
-(Jonker & Volgenant 1987), is the optimal cover.
+(Jonker & Volgenant 1987), is the optimal cover.  scipy's csgraph checks
+the graph first: it is acyclic iff each node is a strong component of
+its own.
 
 Mode ``free`` returns the cheapest set of paths of any size, possibly
 none; mode ``cover_all`` puts every node flagged ``must_cover`` on a path.
+Only when the matching fails does a cover-all solve look for the
+must-cover nodes that lie on no source->sink path (two breadth-first
+searches), to name them in ``InfeasibleCoverError``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    min_weight_full_bipartite_matching,
+)
 
 SOURCE = -1
 SINK = -2
@@ -104,38 +113,17 @@ class FlowResult:
     total_cost: float
 
 
-def _check_acyclic(g: FlowGraph):
-    adj: dict[int, list[int]] = {n: [] for n in g.node_ids}
-    indeg = {n: 0 for n in g.node_ids}
-    for u, v, _ in g.edges:
-        if u in (SOURCE, SINK) or v in (SOURCE, SINK):
-            continue
-        adj[u].append(v)
-        indeg[v] += 1
-    queue = [n for n in g.node_ids if indeg[n] == 0]
-    seen = 0
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for m in adj[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if seen != len(g.node_ids):
-        raise FlowGraphError("flow graph contains a cycle")
-
-
-def _closure(seeds: set[int], adjacency: dict[int, list[int]]) -> set[int]:
-    """All vertices reachable from ``seeds`` (seeds included)."""
-    out = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for v in adjacency.get(u, []):
-            if v not in out:
-                out.add(v)
-                stack.append(v)
-    return out
+def reachable(n: int, src, dst, seeds) -> np.ndarray:
+    """Boolean mask over vertices ``0..n-1``: reachable from ``seeds``
+    (seeds included) along the links ``src[k] -> dst[k]``.  One breadth
+    first search from an extra root vertex ``n`` linked to every seed."""
+    seeds = np.asarray(seeds, dtype=np.intp)
+    rows = np.concatenate([np.asarray(src, dtype=np.intp), np.full(len(seeds), n)])
+    cols = np.concatenate([np.asarray(dst, dtype=np.intp), seeds])
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1)).tocsr()
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[breadth_first_order(graph, n, return_predecessors=False)] = True
+    return mask[:n]
 
 
 def _cheapest_edges(g: FlowGraph):
@@ -156,17 +144,6 @@ def _cheapest_edges(g: FlowGraph):
     return entry, exit_, links
 
 
-def _uncoverable(g: FlowGraph, entry, exit_, links) -> list[int]:
-    """Must-cover nodes that no source->sink path passes through."""
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
-    for u, v in links:
-        succ.setdefault(u, []).append(v)
-        pred.setdefault(v, []).append(u)
-    on_path = _closure(set(entry), succ) & _closure(set(exit_), pred)
-    return sorted(n for n in g.must_cover_ids if n not in on_path)
-
-
 def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
     """Solve for a minimum-cost set of node-disjoint source->sink paths.
 
@@ -175,18 +152,22 @@ def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
     """
     if mode not in ("free", "cover_all"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_acyclic(g)
-    entry, exit_, links = _cheapest_edges(g)
-    must_cover = mode == "cover_all"
-    if must_cover:
-        bad = _uncoverable(g, entry, exit_, links)
-        if bad:
-            raise InfeasibleCoverError(bad)
     order = sorted(g.node_ids)
     n = len(order)
     if n == 0:
         return FlowResult(paths=[], total_cost=0.0)
     index = {node: k for k, node in enumerate(order)}
+    entry, exit_, links = _cheapest_edges(g)
+    src = np.array([index[u] for u, _ in links], dtype=np.intp)
+    dst = np.array([index[w] for _, w in links], dtype=np.intp)
+    # add_edge forbids self loops, so the graph is acyclic iff each of
+    # its n nodes is a strong component of its own
+    n_strong, _ = connected_components(
+        coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n)), connection="strong"
+    )
+    if n_strong < n:
+        raise FlowGraphError("flow graph contains a cycle")
+    must_cover = mode == "cover_all"
 
     # rows: out_k = k, e_k = n + k; columns: in_k = k, x_k = n + k
     arcs: list[tuple[int, int, float]] = []
@@ -217,7 +198,13 @@ def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
     try:
         _, col_ind = min_weight_full_bipartite_matching(matrix)
     except ValueError:
-        raise InfeasibleCoverError(g.must_cover_ids) from None
+        # a must-cover node on no source->sink path leaves no full
+        # matching; name those nodes, or every must-cover node when the
+        # paths exist but cannot be made disjoint
+        on_path = reachable(n, src, dst, [index[v] for v in entry])
+        on_path &= reachable(n, dst, src, [index[u] for u in exit_])
+        bad = [node for k, node in enumerate(order) if g.is_must_cover(node) and not on_path[k]]
+        raise InfeasibleCoverError(bad or g.must_cover_ids) from None
 
     match = col_ind.tolist()  # column of row r, rows in order
     paths: list[list[int]] = []

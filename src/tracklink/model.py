@@ -24,13 +24,22 @@ def check_box(box: Box) -> None:
         raise ValueError(f"box must be four finite values with w, h > 0, got {tuple(box)}")
 
 
+def check_frame(frame) -> None:
+    """The one frame rule: an integer of at least 1, numpy integers
+    included and bools not; anything else raises ValueError."""
+    if isinstance(frame, bool) or not isinstance(frame, (int, np.integer)):
+        raise ValueError(f"frames must be integers, got {frame!r}")
+    if frame < 1:
+        raise ValueError(f"frame indices are 1-based, got {frame}")
+
+
 @dataclass(frozen=True)
 class Detection:
     """One bounding-box observation in a single frame.
 
     ``feature`` is an optional appearance vector; ``id_hint`` is a
     ground-truth identity used only by synthesis and evaluation, never by
-    the tracker itself.  Frames are integers >= 1 (not bools), boxes pass
+    the tracker itself.  Frames pass ``check_frame``, boxes pass
     ``check_box`` and scores lie in (0, 1); ``track_sequence`` checks features.
     """
 
@@ -41,10 +50,7 @@ class Detection:
     id_hint: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.frame, bool) or not isinstance(self.frame, (int, np.integer)):
-            raise ValueError(f"frame must be an integer, got {self.frame!r}")
-        if self.frame < 1:
-            raise ValueError(f"frame indices are 1-based, got {self.frame}")
+        check_frame(self.frame)
         check_box(self.box)
         if not (0.0 < self.score < 1.0):
             raise ValueError(f"detection score must lie in (0, 1), got {self.score}")

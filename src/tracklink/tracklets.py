@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from tracklink.flow import SINK, SOURCE, FlowGraph, _closure
+from tracklink.flow import SINK, SOURCE, FlowGraph, reachable
 from tracklink.model import Detection, RunConfig, Tracklet
 
 
@@ -179,25 +179,17 @@ def build_generation_graph(detections: dict[int, list[Detection]], cfg: RunConfi
     nodes, src, dst = _gating_graph(detections)
     n = len(nodes)
     endpoint_ok = [d.score > cfg.det_threshold for d in nodes]
-    links = list(zip(src.tolist(), dst.tolist()))
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
-    for i, j in links:
-        succ.setdefault(i, []).append(j)
-        pred.setdefault(j, []).append(i)
-    from_entry = _closure({i for i in range(n) if endpoint_ok[i]}, succ)
-    to_exit = _closure({i for i in range(n) if endpoint_ok[i]}, pred)
-    keep = from_entry & to_exit
+    endpoints = np.flatnonzero(endpoint_ok)
+    keep = reachable(n, src, dst, endpoints) & reachable(n, dst, src, endpoints)
 
     entry_cost = -math.log(cfg.entry_exit_prob)
     g = FlowGraph()
-    for i in sorted(keep):
+    for i in np.flatnonzero(keep).tolist():
         g.add_node(i, cost=detection_cost(nodes[i].score))
-    for i in sorted(keep):
         if endpoint_ok[i]:
             g.add_edge(SOURCE, i, entry_cost)
             g.add_edge(i, SINK, entry_cost)
-    for i, j in links:
-        if i in keep and j in keep:
+    for i, j in zip(src.tolist(), dst.tolist()):
+        if keep[i] and keep[j]:
             g.add_edge(i, j, 0.0)
     return g

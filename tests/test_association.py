@@ -256,6 +256,55 @@ class TestValidation:
         with pytest.raises(ValueError, match="filed under frame 13"):
             track_sequence(detections, RunConfig())
 
+    @pytest.mark.parametrize(
+        "shape_of", [lambda f: f.reshape(1, -1), lambda f: f[0], lambda f: f[:0]],
+        ids=["row matrix", "scalar", "empty"],
+    )
+    def test_feature_that_is_not_a_non_empty_vector(self, detections, shape_of):
+        # every detection gets the same shape, so no width check fires
+        reshaped = {
+            f: [dataclasses.replace(d, feature=shape_of(d.feature)) for d in dets]
+            for f, dets in detections.items()
+        }
+        with pytest.raises(ValueError, match=r"frame \d+: a feature must be a non-empty 1-D"):
+            track_sequence(reshaped, RunConfig())
+
+    def test_bool_frame_key(self, detections):
+        detections[True] = detections.pop(1)  # its detections' frame 1 equals True
+        with pytest.raises(ValueError, match="integers"):
+            track_sequence(detections, RunConfig())
+
+
+def test_numpy_integer_frame_keys_track_like_int_keys():
+    detections = generate_scenario(_four_targets(6))[0]
+    numpy_keys = {np.int64(f): dets for f, dets in detections.items()}
+    expected = track_sequence(detections, RunConfig()).trajectories
+    assert track_sequence(numpy_keys, RunConfig()).trajectories == expected
+
+
+def test_no_reliable_metrics_learned_without_appearance(monkeypatch):
+    """Only the appearance cue reads the reliable-phase metrics, so a
+    motion-only run learns none and scores its tables as a run that
+    learns them and leaves them unread."""
+    detections = generate_scenario(_four_targets(6))[0]
+    phases = []
+    learn = association.learn_segment_metrics
+
+    def spy(tracklets, phase, *args, **kwargs):
+        phases.append(phase)
+        return learn(tracklets, phase, *args, **kwargs)
+
+    monkeypatch.setattr(association, "learn_segment_metrics", spy)
+    motion_only = track_sequence(detections, RunConfig(), use_appearance=False)
+    assert phases == []
+
+    build = aff.build_affinity_table
+    monkeypatch.setattr(aff, "build_affinity_table", lambda *args: build(*args[:5], False))
+    unread = track_sequence(detections, RunConfig())
+    assert phases and set(phases) == {"reliable"}
+    assert repr(unread.tables) == repr(motion_only.tables)
+    assert unread.trajectories == motion_only.trajectories
+
 
 def _fingerprint(state):
     return (

@@ -18,6 +18,7 @@ from tracklink.flow import (
 from oracles import (
     assignment_cover_cost,
     build_graph,
+    enumerate_paths,
     min_cover_cost,
     random_cover_dag,
     random_tie_dag,
@@ -75,6 +76,62 @@ class TestSolveExamples:
             solve_paths(g, mode="cover_all")
         assert set(err.value.uncoverable) <= {1, 2}
         assert len(err.value.uncoverable) >= 1
+
+
+def random_gappy_dag(rng, max_nodes):
+    """A DAG on nodes 1..n, added in random order.  Entry edges favour
+    early nodes and exit edges late ones, so some must-cover nodes lie on
+    no source->sink path and others on paths that cannot be disjoint."""
+    n = int(rng.integers(1, max_nodes + 1))
+    rank = rng.permutation(n) + 1  # rank[k]: the node at topological position k
+    g = FlowGraph()
+    for v in rng.permutation(rank).tolist():
+        g.add_node(v, cost=float(rng.normal()), must_cover=bool(rng.random() < 0.8))
+    for k, v in enumerate(rank.tolist()):
+        if rng.random() < 1.0 - k / n:
+            g.add_edge(SOURCE, v, float(rng.normal()))
+        if rng.random() < (k + 1) / n:
+            g.add_edge(v, SINK, float(rng.normal()))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.5:
+                g.add_edge(int(rank[a]), int(rank[b]), float(rng.normal()))
+    return g
+
+
+class TestInfeasibleDiagnosis:
+    def test_names_must_cover_nodes_on_no_path(self):
+        rng = np.random.default_rng(23)
+        seen = {"feasible": 0, "off_path": 0, "all": 0}
+        for _ in range(400):
+            g = random_gappy_dag(rng, max_nodes=7)
+            on_path = {v for nodes, _, _ in enumerate_paths(g) for v in nodes}
+            off_path = sorted(set(g.must_cover_ids) - on_path)
+            try:
+                solve_paths(g, mode="cover_all")
+            except InfeasibleCoverError as err:
+                assert err.uncoverable == (off_path or g.must_cover_ids)
+                seen["off_path" if off_path else "all"] += 1
+            else:
+                assert not off_path
+                seen["feasible"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_exact_uncoverable_list(self):
+        g = FlowGraph()
+        for v in (4, 2, 1, 3):
+            g.add_node(v, must_cover=True)
+        g.add_node(5)
+        g.add_edge(SOURCE, 1, 0.0)
+        g.add_edge(1, SINK, 0.0)
+        g.add_edge(2, 3, 0.0)  # 2 has no entry and no predecessor
+        g.add_edge(SOURCE, 3, 0.0)
+        g.add_edge(3, SINK, 0.0)
+        g.add_edge(SOURCE, 4, 0.0)  # 4 has no exit and no successor
+        g.add_edge(4, 5, 0.0)
+        with pytest.raises(InfeasibleCoverError) as err:
+            solve_paths(g, mode="cover_all")
+        assert err.value.uncoverable == [2, 4]
 
 
 class TestOracleEquality:

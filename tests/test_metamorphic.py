@@ -3,13 +3,16 @@
 Each transform below has a known effect on the output: shuffling each
 frame's detection list or flipping the sign of feature dimensions leaves
 the trajectories unchanged (metrics learn on coordinate-wise |z - z'|),
-and a frame offset shifts them by the offset (segments count from the
-first frame that holds a detection).  Trajectories are compared by their
-per-frame boxes, not by ids.  Every output must also keep the pipeline
-invariants: each reliable tracklet lies in exactly one trajectory, no
-detection is used twice, no trajectory has a frame gap, and every
-affinity row links a tracklet that did not end in the exit band to one
-that starts after it ends.
+as do permuting the feature dimensions, 1e-12 relative noise on every
+feature value and one common translation of all features, and a frame
+offset shifts them by the offset (segments count from the first frame
+that holds a detection).  Trajectories are compared by their per-frame
+boxes, not by ids, except that the last three feature transforms must
+give identical trajectories, ids included.  Every output must also keep
+the pipeline invariants: each reliable tracklet lies in exactly one
+trajectory, no detection is used twice, no trajectory has a frame gap,
+and every affinity row links a tracklet that did not end in the exit
+band to one that starts after it ends.
 """
 
 import dataclasses
@@ -71,6 +74,14 @@ def _assert_invariants(state, detections, cfg):
             assert by_id[row.j].start > by_id[row.i].end
 
 
+def _mapped(detections, transform):
+    """The scene with ``transform`` applied to every feature."""
+    return {
+        f: [dataclasses.replace(d, feature=transform(d.feature)) for d in dets]
+        for f, dets in detections.items()
+    }
+
+
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(
     detections=scenes(),
@@ -88,12 +99,20 @@ def test_transforms_with_known_effect(detections, order, flip_seed, offset):
     assert _boxes(track_sequence(shuffled, cfg).trajectories) == expected
 
     width = next(iter(detections.values()))[0].feature.size
-    signs = np.random.default_rng(flip_seed).choice([-1.0, 1.0], width)
-    flipped = {
-        f: [dataclasses.replace(d, feature=d.feature * signs) for d in dets]
-        for f, dets in detections.items()
-    }
-    assert _boxes(track_sequence(flipped, cfg).trajectories) == expected
+    rng = np.random.default_rng(flip_seed)
+    signs = rng.choice([-1.0, 1.0], width)
+    flipped = track_sequence(_mapped(detections, lambda z: z * signs), cfg)
+    assert _boxes(flipped.trajectories) == expected
+
+    permutation = rng.permutation(width)
+    shift = rng.normal(0.0, 5.0, width)
+    for transform in (
+        lambda z: z[permutation],
+        lambda z: z * (1.0 + 1e-12 * rng.standard_normal(width)),
+        lambda z: z + shift,
+    ):
+        transformed = track_sequence(_mapped(detections, transform), cfg)
+        assert transformed.trajectories == state.trajectories
 
     moved = {
         f + offset: [dataclasses.replace(d, frame=d.frame + offset) for d in dets]
