@@ -22,7 +22,16 @@ import numpy as np
 from tracklink import affinity as aff
 from tracklink.flow import SINK, SOURCE, FlowGraph, solve_paths
 from tracklink.metric import learn_segment_metrics, refine_tracklets
-from tracklink.model import Box, Detection, ExitMap, RunConfig, Tracklet, Trajectory, check_frame
+from tracklink.model import (
+    Box,
+    Detection,
+    ExitMap,
+    RunConfig,
+    Tracklet,
+    Trajectory,
+    check_frame,
+    gap_points,
+)
 from tracklink.tracklets import generate_initial_tracklets
 
 
@@ -56,11 +65,8 @@ def interpolate_members(members: list[Tracklet]) -> list[tuple[int, Box]]:
     linearly interpolated between flanking detections."""
     out: list[tuple[int, Box]] = [(d.frame, d.box) for d in members[0].detections]
     for prev, t in zip(members, members[1:]):
-        box_a, box_b = prev.detections[-1].box, t.detections[0].box
-        steps = t.start - prev.end  # the gap frames, plus one
-        for i in range(1, steps):
-            frac = i / steps
-            out.append((prev.end + i, tuple(a + frac * (b - a) for a, b in zip(box_a, box_b))))
+        filled = gap_points(prev.detections[-1].box, t.detections[0].box, t.start - prev.end - 1)
+        out.extend(zip(range(prev.end + 1, t.start), map(tuple, filled.tolist())))
         out.extend((d.frame, d.box) for d in t.detections)
     return out
 

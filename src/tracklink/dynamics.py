@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from tracklink.model import Tracklet
+from tracklink.model import Tracklet, gap_points
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +80,8 @@ def interpolate_gap(a: Tracklet, b: Tracklet) -> np.ndarray:
         raise ValueError(
             f"interpolate_gap needs b after a (a.end={a.end}, b.start={b.start})"
         )
-    gap = b.start - a.end - 1
-    last, first = a.center_array[-1], b.center_array[0]
-    frac = np.arange(1, gap + 1)[:, None] / (gap + 1)
-    return np.concatenate((a.center_array, last + frac * (first - last), b.center_array))
+    filled = gap_points(a.center_array[-1], b.center_array[0], b.start - a.end - 1)
+    return np.concatenate((a.center_array, filled, b.center_array))
 
 
 def motion_similarity(a: Tracklet, b: Tracklet, tau: float) -> float:

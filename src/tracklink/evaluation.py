@@ -49,21 +49,31 @@ class MetricReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _frame_view(tracks: Track) -> dict[int, list[tuple[int, Box]]]:
+def _frame_view(tracks: Track, name: str) -> dict[int, list[tuple[int, Box]]]:
+    """Map frame -> (id, box) pairs; a track that lists a frame twice
+    would be counted once, so it raises ValueError."""
     view: dict[int, list[tuple[int, Box]]] = {}
     for ident in sorted(tracks):
+        seen: set[int] = set()
         for frame, box in tracks[ident]:
+            if frame in seen:
+                raise ValueError(f"{name} id {ident} lists frame {frame} twice")
+            seen.add(frame)
             view.setdefault(frame, []).append((ident, box))
     return view
 
 
 def evaluate(result: Track, ground_truth: Track) -> MetricReport:
     """CLEAR MOT metrics of a tracking result against ground truth; both
-    are maps id -> frame-ordered (frame, box) lists."""
+    are maps id -> frame-ordered (frame, box) lists.  No track may list a
+    frame twice, and no ground-truth track may be empty."""
     if not ground_truth:
         raise ValueError("ground truth is empty")
-    gt_frames = _frame_view(ground_truth)
-    hyp_frames = _frame_view(result)
+    for ident, track in ground_truth.items():
+        if not track:
+            raise ValueError(f"ground-truth id {ident} has an empty track")
+    gt_frames = _frame_view(ground_truth, "ground-truth")
+    hyp_frames = _frame_view(result, "result")
     all_frames = sorted(set(gt_frames) | set(hyp_frames))
 
     matches: dict[int, int] = {}  # gt id -> hyp id carried across frames

@@ -1,5 +1,7 @@
 """Minimum-cost node-disjoint source->sink paths in a DAG, solved as one
-sparse assignment problem.
+sparse assignment problem.  ``min_cost_paths`` solves over nodes
+``0..n-1`` given as arrays; ``solve_paths`` is its adapter for a
+``FlowGraph``, which keeps only the cheapest copy of a parallel edge.
 
 A set of node-disjoint paths gives every used node exactly one
 predecessor (another node or the source) and one successor (another
@@ -18,15 +20,18 @@ Each used node pays its own cost once, on the arc into ``in_v``.  Every
 perfect matching is a path cover of the same cost (the graph is acyclic,
 so predecessor chains end at the source) and every cover extends to a
 perfect matching, so the minimum-weight full matching, found by LAPJVsp
-(Jonker & Volgenant 1987), is the optimal cover.  scipy's csgraph checks
-the graph first: it is acyclic iff each node is a strong component of
-its own.
+(Jonker & Volgenant 1987), is the optimal cover.  Ties go as the matrix
+lays them out: canonical CSR, rows in order and each row's columns
+ascending, whatever order the edges were added in.  scipy's csgraph
+checks the graph first: it is acyclic iff each node is a strong
+component of its own.
 
 Mode ``free`` returns the cheapest set of paths of any size, possibly
 none; mode ``cover_all`` puts every node flagged ``must_cover`` on a path.
 Only when the matching fails does a cover-all solve look for the
-must-cover nodes that lie on no source->sink path (two breadth-first
-searches), to name them in ``InfeasibleCoverError``.
+must-cover nodes that lie on no source->sink path (two csgraph
+searches, from the entries and back from the exits), to name them in
+``InfeasibleCoverError``.
 """
 
 from __future__ import annotations
@@ -35,12 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import (
-    breadth_first_order,
-    connected_components,
-    min_weight_full_bipartite_matching,
-)
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra, min_weight_full_bipartite_matching
 
 SOURCE = -1
 SINK = -2
@@ -55,17 +56,18 @@ class InfeasibleCoverError(FlowGraphError):
         self.uncoverable = list(uncoverable)
         super().__init__(
             "cover_all infeasible; uncoverable nodes: "
-            + ", ".join(str(n) for n in self.uncoverable)
+            + (", ".join(str(n) for n in self.uncoverable) or "none, but no disjoint cover")
         )
 
 
 class FlowGraph:
     """Source/sink DAG description: nodes with optional cost and
-    must_cover flag, directed edges with real finite costs."""
+    must_cover flag, directed edges with real finite costs.  Of parallel
+    edges only the cheapest copy is kept."""
 
     def __init__(self):
         self._nodes: dict[int, tuple[float, bool]] = {}
-        self._edges: list[tuple[int, int, float]] = []
+        self._edges: dict[tuple[int, int], float] = {}
 
     def add_node(self, node_id: int, cost: float = 0.0, must_cover: bool = False):
         if node_id in (SOURCE, SINK):
@@ -86,7 +88,7 @@ class FlowGraph:
             raise FlowGraphError("self loops are not allowed")
         if not math.isfinite(cost):
             raise FlowGraphError(f"edge ({u}, {v}) cost must be finite")
-        self._edges.append((u, v, float(cost)))
+        self._edges[u, v] = min(float(cost), self._edges.get((u, v), math.inf))
 
     @property
     def node_ids(self) -> list[int]:
@@ -94,7 +96,7 @@ class FlowGraph:
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
-        return list(self._edges)
+        return [(u, v, cost) for (u, v), cost in self._edges.items()]
 
     def node_cost(self, node_id: int) -> float:
         return self._nodes[node_id][0]
@@ -113,78 +115,41 @@ class FlowResult:
     total_cost: float
 
 
-def reachable(n: int, src, dst, seeds) -> np.ndarray:
-    """Boolean mask over vertices ``0..n-1``: reachable from ``seeds``
-    (seeds included) along the links ``src[k] -> dst[k]``.  One breadth
-    first search from an extra root vertex ``n`` linked to every seed."""
-    seeds = np.asarray(seeds, dtype=np.intp)
-    rows = np.concatenate([np.asarray(src, dtype=np.intp), np.full(len(seeds), n)])
-    cols = np.concatenate([np.asarray(dst, dtype=np.intp), seeds])
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1)).tocsr()
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[breadth_first_order(graph, n, return_predecessors=False)] = True
-    return mask[:n]
-
-
-def _cheapest_edges(g: FlowGraph):
-    """Entry, exit and link costs with parallel edges reduced to their
-    cheapest copy."""
-    entry: dict[int, float] = {}
-    exit_: dict[int, float] = {}
-    links: dict[tuple[int, int], float] = {}
-    for u, v, cost in g.edges:
-        if u == SOURCE and v == SINK:
-            continue  # a path through no node covers nothing
-        if u == SOURCE:
-            entry[v] = min(cost, entry.get(v, math.inf))
-        elif v == SINK:
-            exit_[u] = min(cost, exit_.get(u, math.inf))
-        else:
-            links[(u, v)] = min(cost, links.get((u, v), math.inf))
-    return entry, exit_, links
-
-
-def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
-    """Solve for a minimum-cost set of node-disjoint source->sink paths.
-
-    Paths are returned sorted by their first node; ``total_cost`` sums
-    the entry, node, link and exit costs along them.
+def min_cost_paths(node_cost, must_cover, entry, exit_, src, dst, link_cost) -> list[list[int]]:
+    """Minimum-cost node-disjoint paths over nodes ``0..n-1``, sorted by
+    first node.  Numpy arrays: every used node pays ``node_cost``, a path
+    pays ``entry``/``exit_`` at its ends (``inf``: no such edge) and
+    ``link_cost[k]`` per step ``src[k] -> dst[k]`` (distinct pairs, no
+    self loops).  ``must_cover`` nodes lie on a path.  A cycle raises
+    ``FlowGraphError``; ``InfeasibleCoverError`` names the must-cover
+    nodes on no entry-to-exit path (none if the paths just collide).
     """
-    if mode not in ("free", "cover_all"):
-        raise ValueError(f"unknown mode {mode!r}")
-    order = sorted(g.node_ids)
-    n = len(order)
+    n, m = len(node_cost), len(src)
     if n == 0:
-        return FlowResult(paths=[], total_cost=0.0)
-    index = {node: k for k, node in enumerate(order)}
-    entry, exit_, links = _cheapest_edges(g)
-    src = np.array([index[u] for u, _ in links], dtype=np.intp)
-    dst = np.array([index[w] for _, w in links], dtype=np.intp)
-    # add_edge forbids self loops, so the graph is acyclic iff each of
-    # its n nodes is a strong component of its own
-    n_strong, _ = connected_components(
-        coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n)), connection="strong"
-    )
+        return []
+    links = csr_matrix((np.ones(m), (src, dst)), shape=(n, n))  # sums repeated pairs
+    if links.nnz < m or np.any(src == dst):
+        raise FlowGraphError("links must be distinct pairs of distinct nodes")
+    # without self loops the graph is acyclic iff each of its n nodes is a
+    # strong component of its own
+    n_strong, _ = connected_components(links, connection="strong")
     if n_strong < n:
         raise FlowGraphError("flow graph contains a cycle")
-    must_cover = mode == "cover_all"
 
-    # rows: out_k = k, e_k = n + k; columns: in_k = k, x_k = n + k
-    arcs: list[tuple[int, int, float]] = []
-    for k, node in enumerate(order):
-        if not (must_cover and g.is_must_cover(node)):
-            arcs.append((k, k, 0.0))
-        arcs.append((n + k, n + k, 0.0))
-        if node in entry:
-            arcs.append((n + k, k, entry[node] + g.node_cost(node)))
-        if node in exit_:
-            arcs.append((k, n + k, exit_[node]))
-    for (u, w), cost in links.items():
-        i, j = index[u], index[w]
-        arcs.append((i, j, cost + g.node_cost(w)))
-        arcs.append((n + j, n + i, 0.0))
-    arcs.sort()  # the matrix, and so the tie-break, ignores edge insertion order
-    rows, cols, weights = (np.array(a) for a in zip(*arcs))
+    # rows: out_v = v, e_v = n + v; columns: in_v = v, x_v = n + v
+    nodes = np.arange(n)
+    unused = nodes[~must_cover]
+    starts = nodes[np.isfinite(entry)]
+    ends = nodes[np.isfinite(exit_)]
+    rows = np.concatenate([unused, src, n + starts, ends, n + nodes, n + dst])
+    cols = np.concatenate([unused, dst, starts, n + ends, n + nodes, n + src])
+    weights = np.concatenate([
+        np.zeros(len(unused)),  # out_v -> in_v: v unused
+        link_cost + node_cost[dst],  # out_u -> in_w: link u -> w
+        entry[starts] + node_cost[starts],  # e_v -> in_v: v starts a path
+        exit_[ends],  # out_v -> x_v: v ends a path
+        np.zeros(n + m),  # fillers e_v -> x_v and e_w -> x_u
+    ])
     # Integer weights: on real costs LAPJVsp loops forever once a dual
     # update rounds to nothing.  Sums of 2n weights stay below 2**50, so
     # its arithmetic is exact; the power-of-two scale keeps dyadic costs
@@ -194,29 +159,62 @@ def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
     scale = 2.0 ** math.floor(math.log2(2.0**48 / (n * (1.0 + np.abs(weights).max()))))
     weights = np.rint(weights * scale)
     weights += 1.0 - weights.min()
-    matrix = coo_matrix((weights, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    # no (row, col) pair repeats; sorted columns fix the tie-break
+    matrix = csr_matrix((weights, (rows, cols)), shape=(2 * n, 2 * n))
+    matrix.sort_indices()
     try:
         _, col_ind = min_weight_full_bipartite_matching(matrix)
     except ValueError:
-        # a must-cover node on no source->sink path leaves no full
-        # matching; name those nodes, or every must-cover node when the
-        # paths exist but cannot be made disjoint
-        on_path = reachable(n, src, dst, [index[v] for v in entry])
-        on_path &= reachable(n, dst, src, [index[u] for u in exit_])
-        bad = [node for k, node in enumerate(order) if g.is_must_cover(node) and not on_path[k]]
-        raise InfeasibleCoverError(bad or g.must_cover_ids) from None
+        # a must-cover node on no source->sink path leaves no full matching
+        on_path = np.isfinite(dijkstra(links, indices=starts, min_only=True))
+        on_path &= np.isfinite(dijkstra(links.T, indices=ends, min_only=True))
+        raise InfeasibleCoverError(np.flatnonzero(must_cover & ~on_path).tolist()) from None
 
     match = col_ind.tolist()  # column of row r, rows in order
     paths: list[list[int]] = []
     for start in range(n):
         if match[n + start] != start:
             continue  # e_start fills an exit slot: start has a predecessor or is unused
-        k, path = start, [order[start]]
-        while match[k] < n:  # out_k -> in_j with j != k, as k is used: a link
-            k = match[k]
-            path.append(order[k])
+        v, path = start, [start]
+        while match[v] < n:  # out_v -> in_w with w != v, as v is used: a link
+            v = match[v]
+            path.append(v)
         paths.append(path)
-    terms = [entry[p[0]] for p in paths] + [exit_[p[-1]] for p in paths]
-    terms += [links[step] for p in paths for step in zip(p, p[1:])]
+    return paths
+
+
+def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
+    """Solve for a minimum-cost set of node-disjoint source->sink paths.
+
+    Paths are returned sorted by their first node; ``total_cost`` sums
+    the entry, node, link and exit costs along them.  An infeasible cover
+    names the must-cover nodes on no source->sink path, or every
+    must-cover node when there is none.
+    """
+    if mode not in ("free", "cover_all"):
+        raise ValueError(f"unknown mode {mode!r}")
+    order = sorted(g.node_ids)  # node index k is order[k]
+    node_cost = np.array([g.node_cost(v) for v in order])
+    must_cover = np.array([mode == "cover_all" and g.is_must_cover(v) for v in order], dtype=bool)
+    tail, head = np.array(list(g._edges), dtype=np.int64).reshape(-1, 2).T
+    cost = np.array(list(g._edges.values()))
+    k_tail, k_head = np.searchsorted(order, (tail, head))
+    starts = (tail == SOURCE) & (head != SINK)  # a source->sink edge covers nothing
+    ends = (head == SINK) & (tail != SOURCE)
+    links = (tail != SOURCE) & (head != SINK)
+    entry, exit_ = np.full(len(order), np.inf), np.full(len(order), np.inf)
+    entry[k_head[starts]] = cost[starts]
+    exit_[k_tail[ends]] = cost[ends]
+    try:
+        found = min_cost_paths(
+            node_cost, must_cover, entry, exit_, k_tail[links], k_head[links], cost[links]
+        )
+    except InfeasibleCoverError as err:
+        off_path = [order[k] for k in err.uncoverable]
+        raise InfeasibleCoverError(off_path or g.must_cover_ids) from None
+
+    paths = [[order[k] for k in path] for path in found]
+    terms = [g._edges[SOURCE, p[0]] for p in paths] + [g._edges[p[-1], SINK] for p in paths]
+    terms += [g._edges[step] for p in paths for step in zip(p, p[1:])]
     terms += [g.node_cost(node) for p in paths for node in p]
     return FlowResult(paths=paths, total_cost=math.fsum(terms))

@@ -24,6 +24,14 @@ def check_box(box: Box) -> None:
         raise ValueError(f"box must be four finite values with w, h > 0, got {tuple(box)}")
 
 
+def gap_points(last, first, gap: int) -> np.ndarray:
+    """The one gap-filling rule: ``gap`` points evenly spaced strictly
+    between ``last`` and ``first``, row ``i - 1`` being
+    ``last + (i / (gap + 1)) * (first - last)`` for ``i = 1..gap``."""
+    last, first = np.asarray(last), np.asarray(first)
+    return last + np.arange(1, gap + 1)[:, None] / (gap + 1) * (first - last)
+
+
 def check_frame(frame) -> None:
     """The one frame rule: an integer of at least 1, numpy integers
     included and bools not; anything else raises ValueError."""

@@ -12,7 +12,7 @@ spatially smooth continuation belongs to the *other* identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,22 @@ from tracklink.model import Box, Detection
 from tracklink.mot_io import write_detections, write_ground_truth
 
 
+MOTIONS = ("constant", "constant-velocity", "quadratic")
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     id: int
     start: int
     end: int
     box: Box  # initial (x, y, w, h)
-    motion: str = "constant-velocity"  # constant | constant-velocity | quadratic
+    motion: str = "constant-velocity"  # one of MOTIONS
     velocity: tuple[float, float] = (0.0, 0.0)
     accel: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        if self.motion not in MOTIONS:
+            raise ValueError(f"target {self.id}: motion {self.motion!r} is not one of {MOTIONS}")
 
 
 @dataclass(frozen=True)
@@ -59,36 +66,37 @@ class ScenarioSpec:
     seed: int = 0
 
 
+def _json_fields(cls, data, where: str) -> dict:
+    """``data``, the JSON object of one ``cls`` dataclass, as keyword
+    arguments with lists made tuples.  Its keys must be fields of ``cls``
+    and include every field without a default, else ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    missing = [name for name, f in known.items() if f.default is MISSING and name not in data]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in data.items()}
+
+
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    targets = tuple(
-        TargetSpec(
-            id=t["id"],
-            start=t["start"],
-            end=t["end"],
-            box=tuple(t["box"]),
-            motion=t.get("motion", "constant-velocity"),
-            velocity=tuple(t.get("velocity", (0.0, 0.0))),
-            accel=tuple(t.get("accel", (0.0, 0.0))),
-        )
-        for t in data["targets"]
+    """A scenario from its JSON object.  The keys of the scenario, of each
+    target and of each occlusion are the fields of ScenarioSpec,
+    TargetSpec and OcclusionSpec; an unknown key, a missing required key
+    or an unknown motion raises ValueError."""
+    spec = _json_fields(ScenarioSpec, data, "scenario")
+    spec["targets"] = tuple(
+        TargetSpec(**_json_fields(TargetSpec, t, f"targets[{k}]"))
+        for k, t in enumerate(spec["targets"])
     )
-    occlusions = tuple(
-        OcclusionSpec(
-            targets=tuple(o["targets"]),
-            frames=tuple(o["frames"]),
-            hide=tuple(o["hide"]) if "hide" in o else None,
-            swap_velocities=o.get("swap_velocities", False),
-            swap_frame=o.get("swap_frame"),
-            merge=o.get("merge", False),
-        )
-        for o in data.get("occlusions", ())
+    spec["occlusions"] = tuple(
+        OcclusionSpec(**_json_fields(OcclusionSpec, o, f"occlusions[{k}]"))
+        for k, o in enumerate(spec.get("occlusions", ()))
     )
-    keys = (
-        "n_frames width height feature_dim cluster_sep feature_noise "
-        "pos_noise miss_prob score_mean score_spread seed"
-    ).split()
-    kwargs = {k: data[k] for k in keys if k in data}
-    return ScenarioSpec(targets=targets, occlusions=occlusions, **kwargs)
+    return ScenarioSpec(**spec)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

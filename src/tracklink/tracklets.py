@@ -25,7 +25,6 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from tracklink.flow import SINK, SOURCE, FlowGraph, reachable
 from tracklink.model import Detection, RunConfig, Tracklet
 
 
@@ -172,24 +171,14 @@ def _extract_chains(component, preds, cost, endpoint_ok, cfg: RunConfig):
     return chains
 
 
-def build_generation_graph(detections: dict[int, list[Detection]], cfg: RunConfig) -> FlowGraph:
-    """The same instance as a FlowGraph, for cross-checking the DP against
-    the generic solver.  Nodes that cannot lie on any legal chain
-    (unreachable from entry or exit endpoints) are pruned."""
+def build_generation_graph(detections: dict[int, list[Detection]], cfg: RunConfig):
+    """The same instance as the arrays ``(node_cost, must_cover, entry,
+    exit_, src, dst, link_cost)`` of ``flow.min_cost_paths``, for
+    cross-checking the DP against the exact free-mode solve.  Detections
+    above the threshold may start and end a chain; the other nodes stay
+    unused unless a chain runs through them."""
     nodes, src, dst = _gating_graph(detections)
-    n = len(nodes)
-    endpoint_ok = [d.score > cfg.det_threshold for d in nodes]
-    endpoints = np.flatnonzero(endpoint_ok)
-    keep = reachable(n, src, dst, endpoints) & reachable(n, dst, src, endpoints)
-
-    entry_cost = -math.log(cfg.entry_exit_prob)
-    g = FlowGraph()
-    for i in np.flatnonzero(keep).tolist():
-        g.add_node(i, cost=detection_cost(nodes[i].score))
-        if endpoint_ok[i]:
-            g.add_edge(SOURCE, i, entry_cost)
-            g.add_edge(i, SINK, entry_cost)
-    for i, j in zip(src.tolist(), dst.tolist()):
-        if keep[i] and keep[j]:
-            g.add_edge(i, j, 0.0)
-    return g
+    node_cost = np.array([detection_cost(d.score) for d in nodes])
+    endpoint_ok = np.array([d.score > cfg.det_threshold for d in nodes], dtype=bool)
+    ends = np.where(endpoint_ok, -math.log(cfg.entry_exit_prob), np.inf)
+    return node_cost, np.zeros(len(nodes), dtype=bool), ends, ends, src, dst, np.zeros(len(src))

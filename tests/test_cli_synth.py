@@ -10,6 +10,7 @@ from tracklink.synth import (
     ScenarioSpec,
     TargetSpec,
     generate_scenario,
+    scenario_from_dict,
     simplex_directions,
     write_scenario,
 )
@@ -109,6 +110,80 @@ class TestGenerate:
         # identical before the swap midpoint, different after
         assert gt_plain[1][:30] == gt_bounce[1][:30]
         assert gt_plain[1][-1] != gt_bounce[1][-1]
+
+
+def scenario_dict():
+    """A scenario file's content that sets every key it may hold."""
+    return {
+        "n_frames": 30, "width": 320.0, "height": 240.0, "feature_dim": 8,
+        "cluster_sep": 3.0, "feature_noise": 0.5, "pos_noise": 0.2, "miss_prob": 0.1,
+        "score_mean": 0.8, "score_spread": 0.02, "seed": 3,
+        "targets": [
+            {"id": 1, "start": 1, "end": 30, "box": [20, 100, 16, 32],
+             "motion": "quadratic", "velocity": [4, 0], "accel": [0.1, 0]},
+            {"id": 2, "start": 2, "end": 30, "box": [280, 100, 16, 32],
+             "motion": "constant-velocity", "velocity": [-4, 0]},
+        ],
+        "occlusions": [
+            {"targets": [1, 2], "frames": [12, 16], "hide": [2],
+             "swap_velocities": True, "swap_frame": 14, "merge": True},
+        ],
+    }
+
+
+def _part(data, part):
+    parts = {"scenario": data, "target": data["targets"][1], "occlusion": data["occlusions"][0]}
+    return parts[part]
+
+
+class TestScenarioFile:
+    def test_every_field_is_read(self):
+        spec = scenario_from_dict(scenario_dict())
+        assert (spec.n_frames, spec.feature_dim, spec.miss_prob, spec.seed) == (30, 8, 0.1, 3)
+        assert spec.targets[0] == TargetSpec(
+            id=1, start=1, end=30, box=(20, 100, 16, 32), motion="quadratic",
+            velocity=(4, 0), accel=(0.1, 0),
+        )
+        assert spec.occlusions[0] == OcclusionSpec(
+            targets=(1, 2), frames=(12, 16), hide=(2,), swap_velocities=True,
+            swap_frame=14, merge=True,
+        )
+
+    @pytest.mark.parametrize("part, key", [
+        ("scenario", "feature_dims"), ("target", "velocty"), ("occlusion", "swap"),
+    ])
+    def test_unknown_key_rejected(self, part, key):
+        data = scenario_dict()
+        _part(data, part)[key] = 1
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("part, key", [
+        ("scenario", "n_frames"), ("scenario", "targets"), ("target", "box"),
+        ("occlusion", "frames"),
+    ])
+    def test_missing_required_key_rejected(self, part, key):
+        data = scenario_dict()
+        del _part(data, part)[key]
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(data)
+
+    def test_unknown_motion_rejected(self):
+        data = scenario_dict()
+        data["targets"][0]["motion"] = "linear"
+        with pytest.raises(ValueError, match="linear"):
+            scenario_from_dict(data)
+
+    def test_cli_reports_a_typo(self, tmp_path, capsys):
+        data = scenario_dict()
+        data["targets"][0]["velocty"] = data["targets"][0].pop("velocity")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "velocty" in err
+        assert not (tmp_path / "out").exists()
 
 
 def scenario_json(tmp_path, spec):

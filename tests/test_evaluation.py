@@ -101,6 +101,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate({}, {})
 
+    def test_result_track_repeating_a_frame_rejected(self):
+        gt = {1: track(BOX_A, range(1, 11))}
+        hyp = {4: track(BOX_A, [1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10])}
+        with pytest.raises(ValueError, match="id 4 lists frame 3 twice"):
+            evaluate(hyp, gt)
+
+    def test_ground_truth_track_repeating_a_frame_rejected(self):
+        gt = {1: track(BOX_A, [1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10])}
+        hyp = {4: track(BOX_A, range(1, 11))}
+        with pytest.raises(ValueError, match="id 1 lists frame 3 twice"):
+            evaluate(hyp, gt)
+
+    def test_empty_ground_truth_track_rejected(self):
+        gt = {1: track(BOX_A, range(1, 11)), 2: []}
+        with pytest.raises(ValueError, match="id 2 has an empty track"):
+            evaluate(gt, gt)
+
     def test_report_formatting(self):
         gt = {1: track(BOX_A, range(1, 6))}
         text = format_report(evaluate(gt, gt))

@@ -12,6 +12,7 @@ from tracklink.flow import (
     FlowGraph,
     FlowGraphError,
     InfeasibleCoverError,
+    min_cost_paths,
     solve_paths,
 )
 
@@ -152,6 +153,24 @@ class TestOracleEquality:
             best = min_cover_cost(g, "free")
             assert res.total_cost == min(best, 0.0)
 
+    def test_parallel_copies_and_source_sink_edge(self):
+        # only the cheapest copy of an edge counts, and a source->sink
+        # edge, a path through no node, counts for nothing
+        rng = np.random.default_rng(24)
+        for mode in ("free", "cover_all"):
+            for _ in range(40):
+                g = random_cover_dag(rng, max_nodes=7)
+                entries = [e for e in g.edges if e[0] == SOURCE]
+                exits = [e for e in g.edges if e[1] == SINK]
+                links = [e for e in g.edges if e[0] != SOURCE and e[1] != SINK]
+                for kind in (entries, exits, links):
+                    for k in rng.permutation(len(kind))[: max(1, len(kind) // 2)].tolist():
+                        u, v, cost = kind[k]
+                        g.add_edge(u, v, cost + 0.5)
+                        g.add_edge(u, v, cost - 0.25)
+                g.add_edge(SOURCE, SINK, -1.0)
+                assert solve_paths(g, mode=mode).total_cost == min_cover_cost(g, mode)
+
     def test_large_tie_heavy_cover_all_matches_assignment(self):
         rng = np.random.default_rng(17)
         for _ in range(6):
@@ -267,3 +286,10 @@ class TestValidation:
         assert res.paths == [] and res.total_cost == 0.0
         res = solve_paths(FlowGraph(), mode="cover_all")
         assert res.paths == [] and res.total_cost == 0.0
+
+    def test_array_links_must_be_distinct_pairs(self):
+        # the assignment matrix would sum a repeated pair's arcs
+        free, ends = np.zeros(2, dtype=bool), np.zeros(2)
+        for src, dst in (([0, 0], [1, 1]), ([1], [1])):
+            with pytest.raises(FlowGraphError):
+                min_cost_paths(np.zeros(2), free, ends, ends, src, dst, np.zeros(len(src)))

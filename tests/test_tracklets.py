@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracklink import flow, tracklets
-from tracklink.flow import solve_paths
 from tracklink.model import Detection, RunConfig
 from tracklink.tracklets import (
     build_generation_graph,
@@ -121,7 +120,11 @@ class TestGeneration:
         for t in tracklets:
             dp_total += 2 * (-math.log(cfg.entry_exit_prob))
             dp_total += sum(detection_cost(d.score) for d in t.detections)
-        flow_total = solve_paths(build_generation_graph(dets, cfg), mode="free").total_cost
+        # links cost 0 and no node must be covered: the exact free-mode optimum
+        node_cost, must_cover, entry, exit_, src, dst, link_cost = build_generation_graph(dets, cfg)
+        assert not must_cover.any() and not link_cost.any()
+        paths = flow.min_cost_paths(node_cost, must_cover, entry, exit_, src, dst, link_cost)
+        flow_total = sum(entry[p[0]] + exit_[p[-1]] + node_cost[p].sum() for p in paths)
         assert dp_total == pytest.approx(flow_total)
 
     def test_empty_input(self):
@@ -208,6 +211,7 @@ class TestComponentExtraction:
             raise AssertionError("generation must not solve a flow")
 
         monkeypatch.setattr(flow, "solve_paths", forbidden)
+        monkeypatch.setattr(flow, "min_cost_paths", forbidden)
         monkeypatch.setattr(tracklets, "solve_paths", forbidden, raising=False)
         assert len(generate_initial_tracklets(single_target(), RunConfig())) == 1
 
