@@ -71,6 +71,32 @@ def interpolate_members(members: list[Tracklet]) -> list[tuple[int, Box]]:
     return out
 
 
+def link(
+    tracklets: list[Tracklet],
+    tables: list[aff.AffinityTable],
+    cfg: RunConfig,
+) -> tuple[tuple[int, ...], ...]:
+    """The global cover-all solve: one chain of tracklet ids per path,
+    chains ordered by (start frame, first member id)."""
+    if not tracklets:
+        return ()
+    start = {t.id: t.start for t in tracklets}
+    result = solve_paths(build_association_graph(tracklets, tables, cfg), mode="cover_all")
+    return tuple(sorted((tuple(path) for path in result.paths), key=lambda c: (start[c[0]], c[0])))
+
+
+def build_trajectories(
+    tracklets: list[Tracklet], chains: tuple[tuple[int, ...], ...]
+) -> list[Trajectory]:
+    """Chain k of ``link``'s order becomes trajectory k, its gap frames
+    filled by ``interpolate_members``."""
+    by_id = {t.id: t for t in tracklets}
+    return [
+        Trajectory(k, chain, tuple(interpolate_members([by_id[n] for n in chain])))
+        for k, chain in enumerate(chains, start=1)
+    ]
+
+
 def associate(
     tracklets: list[Tracklet],
     tables: list[aff.AffinityTable],
@@ -78,20 +104,13 @@ def associate(
 ) -> list[Trajectory]:
     """Global cover-all solve; each returned path becomes a Trajectory.
 
+    Two steps: ``link`` solves for the chains, which alone fix the
+    output, and ``build_trajectories`` builds them; ``learn_weights``
+    calls the two apart, to build only chains it has not seen.
     Trajectory ids are assigned 1..k ordered by (start frame, first
     member id), so equal inputs yield identical outputs.
     """
-    if not tracklets:
-        return []
-    by_id = {t.id: t for t in tracklets}
-    graph = build_association_graph(tracklets, tables, cfg)
-    result = solve_paths(graph, mode="cover_all")
-    chains = [[by_id[n] for n in path] for path in result.paths]
-    chains.sort(key=lambda members: (members[0].start, members[0].id))
-    return [
-        Trajectory(k, tuple(t.id for t in members), tuple(interpolate_members(members)))
-        for k, members in enumerate(chains, start=1)
-    ]
+    return build_trajectories(tracklets, link(tracklets, tables, cfg))
 
 
 @dataclass

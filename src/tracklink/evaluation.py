@@ -5,6 +5,11 @@ Matching follows the classic protocol: matches from the previous frame
 are kept while their overlap stays above 0.5, remaining candidates are
 assigned by Hungarian matching maximizing IoU (pairs at or below 0.5
 excluded).  MOTA = 1 - (FN + FP + IDS) / total ground-truth detections.
+
+The weight sweep (``learn_weights``) does one solve per distinct setting
+of the flagged rows and one evaluation per distinct chain set: points
+whose solves give the same chains share one set of trajectories and one
+report.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from tracklink import affinity as aff
-from tracklink.association import associate
+from tracklink.association import build_trajectories, link
 from tracklink.model import Box, RunConfig, Tracklet, iou
 from tracklink.mot_io import result_view
 
@@ -202,20 +207,27 @@ def learn_weights(
     only flagged rows: an unflagged row has lambda = 1 at every point.
     The association graph therefore changes from point to point only
     through the flagged rows' ``(i, j, score, cost)``, and a point whose
-    flagged rows repeat an earlier point's reuses that point's report
-    (with no flagged row, every point does)."""
+    flagged rows repeat an earlier point's reuses that point's chains
+    (with no flagged row, every point does).  The chains fix the
+    trajectories and so the report, so a point whose chains repeat an
+    earlier point's reuses that point's report: one solve per distinct
+    flagged-row setting, and one evaluation per distinct chain set."""
     if not ground_truth:
         raise ValueError("weight learning needs labeled ground truth")
-    reports: dict[tuple, MetricReport] = {}
+    chains_of: dict[tuple, tuple] = {}  # flagged rows -> chains
+    reports: dict[tuple, MetricReport] = {}  # chains -> report
 
     def run(lambda1: float, lambda2: float) -> MetricReport:
         candidate_cfg = replace(cfg, lambda1=lambda1, lambda2=lambda2)
         refit = [aff.refit_lambdas(tbl, candidate_cfg) for tbl in tables]
         key = tuple((r.i, r.j, r.score, r.cost) for t in refit for r in t.rows if r.flagged)
-        report = reports.get(key)
+        chains = chains_of.get(key)
+        if chains is None:
+            chains = chains_of[key] = link(reliable_tracklets, refit, candidate_cfg)
+        report = reports.get(chains)
         if report is None:
-            trajectories = associate(reliable_tracklets, refit, candidate_cfg)
-            report = reports[key] = evaluate(result_view(trajectories), ground_truth)
+            trajectories = build_trajectories(reliable_tracklets, chains)
+            report = reports[chains] = evaluate(result_view(trajectories), ground_truth)
         if trace is not None:
             trace.append((lambda1, lambda2, report.mota, report.ids))
         return report

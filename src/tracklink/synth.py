@@ -12,8 +12,10 @@ spatially smooth continuation belongs to the *other* identity.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,37 +68,65 @@ class ScenarioSpec:
     seed: int = 0
 
 
+def _json_value(value, hint, path: str):
+    """``value``, read from JSON at key ``path``, checked against the type
+    ``hint``: an integer (not a bool) for ``int``, a number for ``float``,
+    a list of the right length for a tuple, whose items are checked in
+    turn, and a JSON object for a dataclass, which is built from it.
+    Lists become tuples; a mismatch raises ValueError naming ``path``."""
+    if get_origin(hint) is UnionType:  # an optional field: X | None
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    if is_dataclass(hint):
+        return hint(**_json_fields(hint, value, path))
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        items = get_args(hint)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(value) != len(items):
+            raise ValueError(f"{path} must be a list of {len(items)} items, got {value!r}")
+        return tuple(
+            _json_value(v, item, f"{path}[{k}]") for k, (v, item) in enumerate(zip(value, items))
+        )
+    if hint is int or hint is float:  # a bool is an int to Python, not to JSON
+        ok = isinstance(value, (int, hint)) and not isinstance(value, bool)
+    else:  # bool or str
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ValueError(f"{path} must be of type {hint.__name__}, got {value!r}")
+    return value
+
+
 def _json_fields(cls, data, where: str) -> dict:
-    """``data``, the JSON object of one ``cls`` dataclass, as keyword
-    arguments with lists made tuples.  Its keys must be fields of ``cls``
-    and include every field without a default, else ValueError."""
+    """``data``, the JSON object of one ``cls`` dataclass at key path
+    ``where`` ("" for the scenario itself), as keyword arguments checked
+    by ``_json_value``.  Its keys must be fields of ``cls`` and include
+    every field without a default, else ValueError."""
+    name = where or "scenario"
     if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object")
+        raise ValueError(f"{name} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
-    missing = [name for name, f in known.items() if f.default is MISSING and name not in data]
+        raise ValueError(f"{name}: unknown keys {unknown}")
+    missing = [key for key, f in known.items() if f.default is MISSING and key not in data]
     if missing:
-        raise ValueError(f"{where}: missing keys {missing}")
-    return {key: tuple(value) if isinstance(value, list) else value for key, value in data.items()}
+        raise ValueError(f"{name}: missing keys {missing}")
+    hints = get_type_hints(cls)
+    prefix = f"{where}." if where else ""
+    return {key: _json_value(value, hints[key], prefix + key) for key, value in data.items()}
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """A scenario from its JSON object.  The keys of the scenario, of each
     target and of each occlusion are the fields of ScenarioSpec,
-    TargetSpec and OcclusionSpec; an unknown key, a missing required key
-    or an unknown motion raises ValueError."""
-    spec = _json_fields(ScenarioSpec, data, "scenario")
-    spec["targets"] = tuple(
-        TargetSpec(**_json_fields(TargetSpec, t, f"targets[{k}]"))
-        for k, t in enumerate(spec["targets"])
-    )
-    spec["occlusions"] = tuple(
-        OcclusionSpec(**_json_fields(OcclusionSpec, o, f"occlusions[{k}]"))
-        for k, o in enumerate(spec.get("occlusions", ()))
-    )
-    return ScenarioSpec(**spec)
+    TargetSpec and OcclusionSpec, and each value must have its field's
+    type; an unknown key, a missing required key, a value of the wrong
+    type or an unknown motion raises ValueError."""
+    return ScenarioSpec(**_json_fields(ScenarioSpec, data, ""))
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,16 +175,43 @@ class TestScenarioFile:
         with pytest.raises(ValueError, match="linear"):
             scenario_from_dict(data)
 
-    def test_cli_reports_a_typo(self, tmp_path, capsys):
+    @pytest.mark.parametrize("part, key, value, path", [
+        ("target", "box", 5, "targets[1].box"),
+        ("scenario", "n_frames", "70", "n_frames"),
+        ("target", "velocity", [1], "targets[1].velocity"),
+        ("scenario", "seed", True, "seed"),
+        ("scenario", "pos_noise", "0.5", "pos_noise"),
+        ("scenario", "targets", {}, "targets"),
+        ("target", "box", [20, 100, 16, "32"], "targets[1].box[3]"),
+        ("occlusion", "hide", 2, "occlusions[0].hide"),
+        ("occlusion", "swap_velocities", 1, "occlusions[0].swap_velocities"),
+        ("occlusion", "swap_frame", 14.0, "occlusions[0].swap_frame"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, part, key, value, path):
         data = scenario_dict()
-        data["targets"][0]["velocty"] = data["targets"][0].pop("velocity")
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        code = main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "velocty" in err
-        assert not (tmp_path / "out").exists()
+        _part(data, part)[key] = value
+        with pytest.raises(ValueError, match=re.escape(path)):
+            scenario_from_dict(data)
+
+    def test_optional_field_may_be_null(self):
+        data = scenario_dict()
+        data["occlusions"][0].update(hide=None, swap_frame=None)
+        occlusion = scenario_from_dict(data).occlusions[0]
+        assert (occlusion.hide, occlusion.swap_frame) == (None, None)
+
+    def test_cli_reports_a_typo(self, tmp_path, capsys):
+        misspelled = scenario_dict()
+        misspelled["targets"][0]["velocty"] = misspelled["targets"][0].pop("velocity")
+        quoted = scenario_dict()
+        quoted["n_frames"] = "70"
+        for data, key in ((misspelled, "velocty"), (quoted, "n_frames")):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            code = main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+            assert not (tmp_path / "out").exists()
 
 
 def scenario_json(tmp_path, spec):

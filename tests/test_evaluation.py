@@ -6,6 +6,7 @@ import pytest
 
 from tracklink import affinity as aff
 from tracklink import evaluation
+from tracklink.association import associate
 from tracklink.evaluation import evaluate, format_report, learn_weights
 from tracklink.model import RunConfig
 from tracklink.mot_io import result_view
@@ -174,21 +175,68 @@ class TestLearnWeights:
             replace(t, rows=tuple(replace(r, flagged=False) for r in t.rows))
             for t in state.tables
         ]
-        real_associate = evaluation.associate
+        real_link = evaluation.link
         calls = []
 
-        def counting_associate(*args):
+        def counting_link(*args):
             calls.append(args)
-            return real_associate(*args)
+            return real_link(*args)
 
-        monkeypatch.setattr(evaluation, "associate", counting_associate)
+        monkeypatch.setattr(evaluation, "link", counting_link)
         trace = []
         learned = learn_weights(state.reliable_tracklets, gt, cfg, tables, trace=trace)
         assert len(calls) == 1
         refit = [aff.refit_lambdas(t, cfg) for t in tables]
-        report = evaluate(result_view(real_associate(state.reliable_tracklets, refit, cfg)), gt)
+        report = evaluate(result_view(associate(state.reliable_tracklets, refit, cfg)), gt)
         sweep = [round(0.1 * k, 1) for k in range(11)]
         assert learned == (0.0, 0.0)
         assert trace == [(v, 0.0, report.mota, report.ids) for v in sweep] + [
             (0.0, v, report.mota, report.ids) for v in sweep
         ]
+
+    def test_one_evaluation_per_distinct_chain_set(self, monkeypatch):
+        # without the bounce, both solves of the sweep give the same chains
+        state, gt, cfg = self._setup(1, bounce=False)
+        assert any(r.flagged for t in state.tables for r in t.rows)
+        real_link, real_evaluate = evaluation.link, evaluation.evaluate
+        solved, evaluated = [], []
+
+        def counting_link(*args):
+            solved.append(real_link(*args))
+            return solved[-1]
+
+        def counting_evaluate(*args):
+            evaluated.append(args)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(evaluation, "link", counting_link)
+        monkeypatch.setattr(evaluation, "evaluate", counting_evaluate)
+        learn_weights(state.reliable_tracklets, gt, cfg, state.tables)
+        assert len(solved) == 2
+        assert len(evaluated) == len(set(solved)) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_a_sweep_that_evaluates_every_point(self, seed):
+        state, gt, cfg = self._setup(seed)
+        sweep = [round(0.1 * k, 1) for k in range(11)]
+        expected = []
+        learned = [0.0, 0.0]
+        for level in (0, 1):
+            best = None
+            for value in sweep:
+                trial = learned.copy()
+                trial[level] = value
+                point = replace(cfg, lambda1=trial[0], lambda2=trial[1])
+                refit = [aff.refit_lambdas(t, point) for t in state.tables]
+                report = evaluate(result_view(associate(state.reliable_tracklets, refit, point)), gt)
+                expected.append((trial[0], trial[1], report.mota, report.ids))
+                if best is None or report.mota > best[0] or (
+                    report.mota == best[0] and report.ids < best[1]
+                ):
+                    best = (report.mota, report.ids, value)
+            learned[level] = best[2]
+        trace = []
+        assert learn_weights(state.reliable_tracklets, gt, cfg, state.tables, trace=trace) == tuple(
+            learned
+        )
+        assert trace == expected
