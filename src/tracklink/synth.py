@@ -12,6 +12,7 @@ spatially smooth continuation belongs to the *other* identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
@@ -66,6 +67,14 @@ class ScenarioSpec:
     score_spread: float = 0.05
     occlusions: tuple[OcclusionSpec, ...] = ()
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("pos_noise", "feature_noise", "score_spread"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not 0.0 <= self.miss_prob <= 1.0:
+            raise ValueError(f"miss_prob must lie in [0, 1], got {self.miss_prob!r}")
 
 
 def _json_value(value, hint, path: str):

@@ -9,7 +9,10 @@ the probe reference takes a max over (score, -frame) in place of the
 sample sort; the motion reference keeps the three-SVD rank ratio built
 from tuples, the difficulty reference tests every pair of tracklets, and
 the initial tracklet reference runs the greedy extraction over the whole
-scene with a scalar gate.
+scene with a scalar gate.  The evaluation reference is the per-frame
+CLEAR MOT loop (carry, then Hungarian matching in every frame, one
+``model.iou`` call per pair) that ``evaluation.evaluate`` must match
+field for field.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
+from tracklink.evaluation import IOU_THRESHOLD, MOSTLY_LOST, MOSTLY_TRACKED, MetricReport
 from tracklink.flow import SINK, SOURCE, FlowGraph
 from tracklink.metric import (
     _ARMIJO_C,
@@ -31,7 +35,7 @@ from tracklink.metric import (
     _negative_source_admissible,
     _strongest_samples,
 )
-from tracklink.model import Detection, RunConfig, Tracklet
+from tracklink.model import Detection, RunConfig, Tracklet, iou
 from tracklink.tracklets import detection_cost
 
 
@@ -529,3 +533,117 @@ def reference_generate_initial_tracklets(
         tracklets.append(Tracklet(id=next_id, detections=tuple(nodes[v] for v in chain)))
         next_id += 1
     return tracklets
+
+
+def _reference_frame_view(tracks, name: str) -> dict:
+    """Map frame -> (id, box) pairs; a track that lists a frame twice
+    would be counted once, so it raises ValueError."""
+    view: dict = {}
+    for ident in sorted(tracks):
+        seen: set[int] = set()
+        for frame, box in tracks[ident]:
+            if frame in seen:
+                raise ValueError(f"{name} id {ident} lists frame {frame} twice")
+            seen.add(frame)
+            view.setdefault(frame, []).append((ident, box))
+    return view
+
+
+def reference_evaluate(result, ground_truth) -> MetricReport:
+    """CLEAR MOT metrics of a tracking result against ground truth; both
+    are maps id -> frame-ordered (frame, box) lists.  No track may list a
+    frame twice, and no ground-truth track may be empty."""
+    if not ground_truth:
+        raise ValueError("ground truth is empty")
+    for ident, track in ground_truth.items():
+        if not track:
+            raise ValueError(f"ground-truth id {ident} has an empty track")
+    gt_frames = _reference_frame_view(ground_truth, "ground-truth")
+    hyp_frames = _reference_frame_view(result, "result")
+    all_frames = sorted(set(gt_frames) | set(hyp_frames))
+
+    matches: dict[int, int] = {}  # gt id -> hyp id carried across frames
+    last_matched_hyp: dict[int, int] = {}
+    gt_matched_frames: dict[int, int] = {ident: 0 for ident in ground_truth}
+    gt_total_frames: dict[int, int] = {ident: len(track) for ident, track in ground_truth.items()}
+    gt_was_matched_prev: dict[int, bool] = {}
+    frag = ids = fp = fn = 0
+    matched_count = 0
+    iou_sum = 0.0
+
+    for frame in all_frames:
+        gts = gt_frames.get(frame, [])
+        hyps = hyp_frames.get(frame, [])
+        gt_boxes = {ident: box for ident, box in gts}
+        hyp_boxes = {ident: box for ident, box in hyps}
+
+        frame_matches: dict[int, int] = {}
+        # keep previous matches while they still overlap
+        for gt_id, hyp_id in matches.items():
+            if gt_id in gt_boxes and hyp_id in hyp_boxes:
+                overlap = iou(gt_boxes[gt_id], hyp_boxes[hyp_id])
+                if overlap > IOU_THRESHOLD:
+                    frame_matches[gt_id] = hyp_id
+        # Hungarian on the rest, maximizing IoU
+        free_gt = [g for g in sorted(gt_boxes) if g not in frame_matches]
+        used_hyp = set(frame_matches.values())
+        free_hyp = [h for h in sorted(hyp_boxes) if h not in used_hyp]
+        if free_gt and free_hyp:
+            cost = np.ones((len(free_gt), len(free_hyp)))
+            for i, g in enumerate(free_gt):
+                for j, h in enumerate(free_hyp):
+                    overlap = iou(gt_boxes[g], hyp_boxes[h])
+                    if overlap > IOU_THRESHOLD:
+                        cost[i, j] = 1.0 - overlap
+            rows, cols = linear_sum_assignment(cost)
+            for i, j in zip(rows, cols):
+                g, h = free_gt[i], free_hyp[j]
+                if iou(gt_boxes[g], hyp_boxes[h]) > IOU_THRESHOLD:
+                    frame_matches[g] = h
+
+        for gt_id, hyp_id in frame_matches.items():
+            matched_count += 1
+            iou_sum += iou(gt_boxes[gt_id], hyp_boxes[hyp_id])
+            gt_matched_frames[gt_id] += 1
+            if gt_id in last_matched_hyp and last_matched_hyp[gt_id] != hyp_id:
+                ids += 1
+            last_matched_hyp[gt_id] = hyp_id
+        for gt_id in gt_boxes:
+            was = gt_was_matched_prev.get(gt_id)
+            now = gt_id in frame_matches
+            if now and was is False:
+                frag += 1
+            gt_was_matched_prev[gt_id] = now
+        fn += len(gt_boxes) - len(frame_matches)
+        fp += len(hyp_boxes) - len(frame_matches)
+        matches = frame_matches
+
+    total_gt = sum(gt_total_frames.values())
+    total_hyp = sum(len(track) for track in result.values())
+    mt = pt = ml = 0
+    for ident in ground_truth:
+        coverage = gt_matched_frames[ident] / gt_total_frames[ident]
+        if coverage >= MOSTLY_TRACKED:
+            mt += 1
+        elif coverage <= MOSTLY_LOST:
+            ml += 1
+        else:
+            pt += 1
+    n_frames = len(all_frames) if all_frames else 1
+    return MetricReport(
+        mota=1.0 - (fn + fp + ids) / total_gt,
+        motp=iou_sum / matched_count if matched_count else 0.0,
+        recall=matched_count / total_gt,
+        precision=matched_count / total_hyp if total_hyp else 0.0,
+        faf=fp / n_frames,
+        gt=len(ground_truth),
+        mt=mt,
+        pt=pt,
+        ml=ml,
+        frag=frag,
+        ids=ids,
+        matched_count=matched_count,
+        ids_per_match=ids / matched_count if matched_count else 0.0,
+        fp=fp,
+        fn=fn,
+    )

@@ -312,6 +312,14 @@ class TestTableAssembly:
             for rows in (aff.refit_lambdas(table, cfg).rows, build(cfg).rows):
                 assert [r for r in rows if not r.flagged] == unflagged
 
+    def test_refit_passes_unflagged_rows_through(self, rng):
+        table = self._flagged_segment(rng)(RunConfig())
+        refit = aff.refit_lambdas(table, RunConfig(lambda1=0.2, lambda2=0.8))
+        assert len(refit.rows) == len(table.rows)
+        for old, new in zip(table.rows, refit.rows):
+            assert (new is old) == (not old.flagged)
+            assert (new.i, new.j) == (old.i, old.j)
+
     def test_one_rank_per_row_plus_one_per_tracklet(self, monkeypatch):
         calls = []
         counted = dynamics.estimate_rank

@@ -193,6 +193,29 @@ class TestScenarioFile:
         with pytest.raises(ValueError, match=re.escape(path)):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("pos_noise", -1), ("pos_noise", float("nan")), ("pos_noise", float("inf")),
+        ("feature_noise", -0.5), ("feature_noise", float("nan")),
+        ("score_spread", -0.01), ("score_spread", float("-inf")),
+        ("miss_prob", -0.1), ("miss_prob", 1.5), ("miss_prob", float("nan")),
+    ])
+    def test_noise_level_out_of_range_rejected(self, key, value):
+        data = scenario_dict()
+        data[key] = value
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(data)
+        with pytest.raises(ValueError, match=key):
+            crossing_spec(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("pos_noise", 0), ("feature_noise", 0.0), ("score_spread", 0), ("miss_prob", 0),
+        ("miss_prob", 1),
+    ])
+    def test_noise_level_at_its_bound_accepted(self, key, value):
+        data = scenario_dict()
+        data[key] = value
+        assert getattr(scenario_from_dict(data), key) == value
+
     def test_optional_field_may_be_null(self):
         data = scenario_dict()
         data["occlusions"][0].update(hide=None, swap_frame=None)
@@ -204,7 +227,9 @@ class TestScenarioFile:
         misspelled["targets"][0]["velocty"] = misspelled["targets"][0].pop("velocity")
         quoted = scenario_dict()
         quoted["n_frames"] = "70"
-        for data, key in ((misspelled, "velocty"), (quoted, "n_frames")):
+        negative = scenario_dict()
+        negative["pos_noise"] = -1
+        for data, key in ((misspelled, "velocty"), (quoted, "n_frames"), (negative, "pos_noise")):
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps(data), encoding="utf-8")
             code = main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])

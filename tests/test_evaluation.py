@@ -1,15 +1,20 @@
+import importlib.util
 import math
-from dataclasses import replace
+import sys
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import reference_evaluate
 from tracklink import affinity as aff
 from tracklink import evaluation
-from tracklink.association import associate
+from tracklink.association import associate, prepare_reliable_tracklets
 from tracklink.evaluation import evaluate, format_report, learn_weights
-from tracklink.model import RunConfig
-from tracklink.mot_io import result_view
+from tracklink.model import RunConfig, iou
+from tracklink.mot_io import load_detections, load_ground_truth, result_view
 
 
 BOX_A = (0.0, 0.0, 10.0, 10.0)
@@ -125,6 +130,137 @@ class TestEvaluate:
         assert "MOTA" in text and "IDS" in text
 
 
+@st.composite
+def scored_scenes(draw):
+    """A ground truth and a result on a coarse grid of 10 x 10 boxes, so
+    IoUs tie and boxes cross.  Ground-truth targets move 0 or 3 px a frame
+    toward or away from each other, with gaps; result tracks copy a
+    target's box (exactly, shifted 1, 2.5 or 5 px, or twice as tall: an
+    IoU of exactly 0.5 when unshifted) or put a box
+    anywhere, may switch from one target to another between frames,
+    may repeat another result track under a new id (two identical
+    boxes on one target), may run past the last ground-truth frame,
+    and may be missing altogether."""
+    n_frames = draw(st.integers(1, 8))
+    gt = {}
+    for ident in draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)):
+        first = draw(st.integers(1, n_frames))
+        last = draw(st.integers(first, n_frames))
+        gaps = draw(st.sets(st.integers(first + 1, last), max_size=2)) if last > first else set()
+        x0 = draw(st.sampled_from([0.0, 4.0, 8.0, 30.0]))
+        step = draw(st.sampled_from([-3.0, 0.0, 3.0]))
+        y = draw(st.sampled_from([0.0, 1.0]))
+        gt[ident] = [
+            (f, (x0 + step * (f - first), y, 10.0, 10.0))
+            for f in range(first, last + 1)
+            if f not in gaps
+        ]
+    result = {}
+    if draw(st.integers(0, 9)) == 0:
+        return result, gt
+    for ident in draw(st.lists(st.integers(-2, 12), min_size=1, max_size=5, unique=True)):
+        track = []
+        for f in sorted(draw(st.sets(st.integers(1, n_frames + 2), max_size=n_frames + 2))):
+            here = [box for entries in gt.values() for g, box in entries if g == f]
+            if here and draw(st.integers(0, 3)):
+                x, y, w, h = draw(st.sampled_from(here))
+                dx = draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 5.0]))
+                stretch = draw(st.sampled_from([1.0, 1.0, 1.0, 2.0]))  # 2: IoU 0.5 at dx 0
+                track.append((f, (x + dx, y, w, h * stretch)))
+            else:
+                track.append((f, (draw(st.sampled_from([0.0, 3.0, 40.0])), 0.0, 10.0, 10.0)))
+        result[ident] = track
+    if result and draw(st.booleans()):
+        result[100] = list(result[draw(st.sampled_from(sorted(result)))])
+    return result, gt
+
+
+class TestMatchesReference:
+    """``evaluate`` against the per-frame CLEAR MOT loop it replaced
+    (``oracles.reference_evaluate``): every field, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scored_scenes())
+    def test_every_field_equal(self, scene):
+        result, gt = scene
+        report, expected = evaluate(result, gt), reference_evaluate(result, gt)
+        assert asdict(report) == asdict(expected)
+        assert report.motp == expected.motp
+
+    @pytest.mark.parametrize("result", [
+        # two identical result boxes on one target: an IoU tie
+        {1: track(BOX_A, range(1, 11)), 2: track(BOX_A, range(1, 11))},
+        # a second box appears on the carried target halfway through
+        {1: track(BOX_A, range(1, 11)), 2: track((1.0, 0.0, 10.0, 10.0), range(5, 11))},
+        # both result ids hop between the two targets every frame
+        {
+            1: [(f, BOX_A if f % 2 else (1.0, 0.0, 10.0, 10.0)) for f in range(1, 11)],
+            2: [(f, (1.0, 0.0, 10.0, 10.0) if f % 2 else BOX_A) for f in range(1, 11)],
+        },
+        {},
+    ])
+    def test_contested_frames(self, result):
+        gt = {1: track(BOX_A, range(1, 11)), 2: track((1.5, 0.0, 10.0, 10.0), range(3, 13))}
+        assert evaluate(result, gt) == reference_evaluate(result, gt)
+
+    def test_sums_overlaps_in_the_order_matches_are_made(self):
+        # Runs begin in frames 3, 1 and 2 on gt ids 1, 2 and 3, so from
+        # frame 3 on each frame adds gt 2's overlap, then gt 3's, then gt
+        # 1's.  Summed by frame and then gt id, MOTP differs in its last bit.
+        gt = {
+            1: track((0.0, 0.0, 10.0, 10.0), range(1, 7)),
+            2: track((100.0, 0.0, 10.0, 10.0), range(1, 7)),
+            3: track((200.0, 0.0, 10.0, 10.0), range(1, 7)),
+        }
+        result = {
+            7: [(f, (0.1 * f, 0.0, 10.0, 10.0)) for f in range(3, 7)],
+            5: [(f, (100.0 + 0.07 * f, 0.3, 10.0, 10.0)) for f in range(1, 7)],
+            6: [(f, (200.3, 0.01 * f, 10.0, 10.0)) for f in range(2, 7)],
+        }
+        by_frame_then_id = 0.0
+        for f in range(1, 7):
+            for g, h in ((1, 7), (2, 5), (3, 6)):
+                hyp = dict(result[h])
+                if f in hyp:
+                    by_frame_then_id += iou(dict(gt[g])[f], hyp[f])
+        report = evaluate(result, gt)
+        assert report.motp == reference_evaluate(result, gt).motp
+        assert report.motp != by_frame_then_id / report.matched_count
+
+    @pytest.mark.parametrize("result, gt", [
+        ({}, {}),
+        ({}, {1: track(BOX_A, [1, 2]), 2: [], 3: track(BOX_A, [1, 1])}),
+        ({}, {2: track(BOX_A, [5, 3, 5, 3]), 1: track(BOX_A, [1, 2, 2])}),
+        ({4: track(BOX_A, [1, 1])}, {1: track(BOX_A, [2, 3, 2])}),
+        ({9: track(BOX_A, [4, 2, 3, 2, 4]), 8: []}, {1: track(BOX_A, [1, 2])}),
+    ])
+    def test_errors_keep_their_messages(self, result, gt):
+        with pytest.raises(ValueError) as raised:
+            evaluate(result, gt)
+        with pytest.raises(ValueError) as expected:
+            reference_evaluate(result, gt)
+        assert str(raised.value) == str(expected.value)
+
+
+def _bench_scenes():
+    """The benchmark's scene generator, bench/scenes.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("bench_scenes", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _flagged_key(tables, cfg):
+    """The (i, j, score, cost) of every flagged row under cfg."""
+    return tuple(
+        (r.i, r.j, r.score, r.cost)
+        for t in tables
+        for r in aff.refit_lambdas(t, cfg).rows
+        if r.flagged
+    )
+
+
 class TestLearnWeights:
     def _setup(self, seed, bounce=True):
         from tracklink.association import prepare_reliable_tracklets
@@ -182,10 +318,19 @@ class TestLearnWeights:
             calls.append(args)
             return real_link(*args)
 
+        real_refit = aff.refit_lambdas
+        refits = []
+
+        def counting_refit(*args):
+            refits.append(args)
+            return real_refit(*args)
+
         monkeypatch.setattr(evaluation, "link", counting_link)
+        monkeypatch.setattr(aff, "refit_lambdas", counting_refit)
         trace = []
         learned = learn_weights(state.reliable_tracklets, gt, cfg, tables, trace=trace)
         assert len(calls) == 1
+        assert len(refits) == len(tables)  # one key: the tables are built once
         refit = [aff.refit_lambdas(t, cfg) for t in tables]
         report = evaluate(result_view(associate(state.reliable_tracklets, refit, cfg)), gt)
         sweep = [round(0.1 * k, 1) for k in range(11)]
@@ -214,6 +359,40 @@ class TestLearnWeights:
         learn_weights(state.reliable_tracklets, gt, cfg, state.tables)
         assert len(solved) == 2
         assert len(evaluated) == len(set(solved)) == 1
+
+    def test_refit_tables_built_once_per_flagged_key(self, tmp_path, monkeypatch):
+        # the benchmark's appearance scenes (bench/run.py WORKLOADS)
+        scenes = _bench_scenes()
+        spec = scenes.SceneSpec(
+            n_frames=320,
+            groups={"crossing": 4, "merge": 3, "bounce": 3},
+            life=100,
+            grid=(3, 2),
+            scene_seed=1,
+        )
+        cfg = RunConfig(frame_width=scenes.WIDTH, frame_height=scenes.HEIGHT)
+        real_refit = aff.refit_lambdas
+        keys = []
+        for index in range(3):
+            paths = scenes.write_scene(scenes.make_scene(spec, 1, index), tmp_path)
+            detections = load_detections(paths["detections"], sidecar_path=paths["features"])
+            gt = load_ground_truth(paths["ground_truth"])
+            state = prepare_reliable_tracklets(detections, cfg)
+            built = []
+            monkeypatch.setattr(
+                aff, "refit_lambdas", lambda t, c: built.append((t, c)) or real_refit(t, c)
+            )
+            trace = []
+            learn_weights(state.reliable_tracklets, gt, cfg, state.tables, trace=trace)
+            monkeypatch.undo()
+            # each build refits every table under one point's weights
+            points = [c for _, c in built[:: len(state.tables)]]
+            assert built == [(t, c) for c in points for t in state.tables]
+            every = [replace(cfg, lambda1=l1, lambda2=l2) for l1, l2, *_ in trace]
+            assert len({_flagged_key(state.tables, c) for c in points}) == len(points)
+            assert len({_flagged_key(state.tables, c) for c in every}) == len(points)
+            keys.append(len(points))
+        assert keys == [21, 12, 12]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_a_sweep_that_evaluates_every_point(self, seed):
