@@ -12,7 +12,9 @@ All affinities are computed per local segment.  An
 AffinityTable keeps every ingredient per ordered pair, so
 ``refit_lambdas`` rebuilds a table under other motion weights by
 rescoring only its flagged rows; every other row has lambda = 1 under
-any weights and passes through unchanged.
+any weights and passes through unchanged.  Of the flagged rows, those
+``fixed_above_zero`` names score the same at every weight above 0, so
+the weight sweep rescores only the others.
 """
 
 from __future__ import annotations
@@ -123,6 +125,14 @@ def link_score(
     powered = 1.0 if lam == 0.0 else max(0.0, min(1.0, p_m)) ** lam
     score = powered * p_a
     return lam, score, transition_cost(score)
+
+
+def fixed_above_zero(p_m: float, gap: int) -> bool:
+    """Whether ``link_score`` gives a flagged row one score at every
+    motion weight above 0: its gap is under one frame (lambda = 1
+    always), or its P_m clamps to 0 or to 1, which every positive power
+    leaves as it is."""
+    return gap < 1 or not 0.0 < p_m < 1.0
 
 
 def transition_cost(score: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tracklink import affinity as aff
-from tracklink.flow import SINK, SOURCE, FlowGraph, solve_paths
+from tracklink.flow import FlowGraph, FlowGraphError, solve_paths
 from tracklink.metric import learn_segment_metrics, refine_tracklets
 from tracklink.model import (
     Box,
@@ -42,22 +42,43 @@ def segment_index_of(t: Tracklet, first_frame: int, cfg: RunConfig) -> int:
     return (t.start - first_frame) // cfg.segment_len
 
 
+def association_arrays(
+    tracklets: list[Tracklet], rows: list[aff.AffinityRow]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The association instance as arrays: the tracklet ids ascending
+    (node k of the graph is ids[k]), and each row's endpoints as node
+    indices and its cost.  A row naming an id that is not among the
+    tracklets raises ``FlowGraphError``, as ``FlowGraph.add_edge`` does;
+    the graph rejects a repeated id and a self loop."""
+    ids = np.sort(np.fromiter((t.id for t in tracklets), dtype=np.int64, count=len(tracklets)))
+    ends = np.array([(r.i, r.j) for r in rows], dtype=np.int64).reshape(-1, 2)
+    known = np.isin(ends, ids)
+    if not known.all():
+        raise FlowGraphError(f"edge endpoint {ends[~known][0]} is not a known node")
+    src, dst = np.searchsorted(ids, ends).T
+    return ids, src, dst, np.array([r.cost for r in rows], dtype=float)
+
+
+def graph_from_arrays(ids, src, dst, cost, cfg: RunConfig) -> FlowGraph:
+    """The cover-all association graph over ``association_arrays``:
+    every tracklet a zero-cost must-cover node with entry and exit edges
+    of cost -log(entry_exit_prob), and a link for each row of finite
+    cost (a zero or floored score costs +inf)."""
+    ends = np.full(len(ids), -math.log(cfg.entry_exit_prob))
+    finite = np.isfinite(cost)
+    return FlowGraph.from_arrays(
+        ids, np.zeros(len(ids)), np.ones(len(ids), dtype=bool), ends, ends,
+        src[finite], dst[finite], cost[finite],
+    )
+
+
 def build_association_graph(
     tracklets: list[Tracklet],
     tables: list[aff.AffinityTable],
     cfg: RunConfig,
 ) -> FlowGraph:
-    g = FlowGraph()
-    entry_cost = -math.log(cfg.entry_exit_prob)
-    for t in sorted(tracklets, key=lambda t: t.id):
-        g.add_node(t.id, cost=0.0, must_cover=True)
-        g.add_edge(SOURCE, t.id, entry_cost)
-        g.add_edge(t.id, SINK, entry_cost)
-    for table in tables:
-        for row in table.rows:
-            if math.isfinite(row.cost):  # a zero or floored score costs +inf
-                g.add_edge(row.i, row.j, row.cost)
-    return g
+    rows = [r for table in tables for r in table.rows if math.isfinite(r.cost)]
+    return graph_from_arrays(*association_arrays(tracklets, rows), cfg)
 
 
 def interpolate_members(members: list[Tracklet]) -> list[tuple[int, Box]]:
@@ -71,17 +92,12 @@ def interpolate_members(members: list[Tracklet]) -> list[tuple[int, Box]]:
     return out
 
 
-def link(
-    tracklets: list[Tracklet],
-    tables: list[aff.AffinityTable],
-    cfg: RunConfig,
-) -> tuple[tuple[int, ...], ...]:
-    """The global cover-all solve: one chain of tracklet ids per path,
-    chains ordered by (start frame, first member id)."""
-    if not tracklets:
-        return ()
+def link(tracklets: list[Tracklet], graph: FlowGraph) -> tuple[tuple[int, ...], ...]:
+    """The global cover-all solve of an association graph over the
+    tracklets: one chain of tracklet ids per path, chains ordered by
+    (start frame, first member id)."""
     start = {t.id: t.start for t in tracklets}
-    result = solve_paths(build_association_graph(tracklets, tables, cfg), mode="cover_all")
+    result = solve_paths(graph, mode="cover_all")
     return tuple(sorted((tuple(path) for path in result.paths), key=lambda c: (start[c[0]], c[0])))
 
 
@@ -104,13 +120,15 @@ def associate(
 ) -> list[Trajectory]:
     """Global cover-all solve; each returned path becomes a Trajectory.
 
-    Two steps: ``link`` solves for the chains, which alone fix the
-    output, and ``build_trajectories`` builds them; ``learn_weights``
-    calls the two apart, to build only chains it has not seen.
+    Two steps: ``link`` solves the association graph for the chains,
+    which alone fix the output, and ``build_trajectories`` builds them;
+    ``learn_weights`` calls the two apart, to solve graphs of its own
+    and build only chains it has not seen.
     Trajectory ids are assigned 1..k ordered by (start frame, first
     member id), so equal inputs yield identical outputs.
     """
-    return build_trajectories(tracklets, link(tracklets, tables, cfg))
+    graph = build_association_graph(tracklets, tables, cfg)
+    return build_trajectories(tracklets, link(tracklets, graph))
 
 
 @dataclass

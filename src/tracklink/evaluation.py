@@ -9,16 +9,20 @@ excluded).  MOTA = 1 - (FN + FP + IDS) / total ground-truth detections.
 box has two partners above 0.5 is matched by those partners, and only
 the other frames run the carry and the Hungarian step.
 
-The weight sweep (``learn_weights``) rescores only the flagged rows at
-each point, does one solve per distinct setting of them and one
-evaluation per distinct chain set: points whose solves give the same
-chains share one set of trajectories and one report.
+The weight sweep (``learn_weights``) builds the association instance
+as arrays once, keys each point by the flagged rows whose score can
+change (``_sweep_scoring``), and for each new key patches those rows'
+costs into a graph and solves it: one solve per distinct setting of
+the flagged rows and one evaluation per distinct chain set, as points
+whose solves give the same chains share one set of trajectories and
+one report.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from operator import itemgetter
 
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from tracklink import affinity as aff
-from tracklink.association import build_trajectories, link
+from tracklink.association import association_arrays, build_trajectories, graph_from_arrays, link
 from tracklink.model import Box, RunConfig, Tracklet
 from tracklink.mot_io import result_view
 
@@ -303,28 +307,31 @@ def learn_weights(
     keep the smaller weight.  Returns (lambda1, lambda2).
 
     Only flagged rows change from point to point: an unflagged row has
-    lambda = 1 at every point.  Each point therefore rescores just the
-    flagged rows with ``affinity.link_score`` and is keyed by their
-    (score, cost).  A point whose key repeats an earlier point's reuses
-    that point's chains (with no flagged row, every point does); only a
-    new key builds the tables with ``refit_lambdas`` and solves them.
-    The chains fix the trajectories and so the report, so a point whose
-    chains repeat an earlier point's reuses that point's report: one
-    solve per distinct flagged-row setting, and one evaluation per
-    distinct chain set."""
+    lambda = 1 at every point.  The association instance is built as
+    arrays once (``association.association_arrays``, over the rows that
+    are or can become links), and each point is keyed by how its weights
+    score the flagged rows (``_sweep_scoring``).  A point whose key
+    repeats an earlier point's reuses that point's chains (with no
+    flagged row, every point does); only a new key patches the flagged
+    rows' costs into a graph and solves it.  The chains fix the
+    trajectories and so the report, so a point whose chains repeat an
+    earlier point's reuses that point's report: one solve per distinct
+    flagged-row setting, and one evaluation per distinct chain set."""
     if not ground_truth:
         raise ValueError("weight learning needs labeled ground truth")
-    flagged = [r for t in tables for r in t.rows if r.flagged]
-    chains_of: dict[tuple, tuple] = {}  # flagged rows' scores -> chains
+    rows = [r for t in tables for r in t.rows if r.flagged or math.isfinite(r.cost)]
+    ids, src, dst, cost = association_arrays(reliable_tracklets, rows)
+    key_of, costs_of = _sweep_scoring(rows, cost, cfg)
+    chains_of: dict[tuple, tuple] = {}  # flagged rows' key -> chains
     reports: dict[tuple, MetricReport] = {}  # chains -> report
 
     def run(lambda1: float, lambda2: float) -> MetricReport:
         point = replace(cfg, lambda1=lambda1, lambda2=lambda2)
-        key = tuple(aff.link_score(r.p_m, r.p_a, True, r.gap, point)[1:] for r in flagged)
+        key = key_of(point)
         chains = chains_of.get(key)
         if chains is None:
-            refit = [aff.refit_lambdas(tbl, point) for tbl in tables]
-            chains = chains_of[key] = link(reliable_tracklets, refit, point)
+            graph = graph_from_arrays(ids, src, dst, costs_of(key), point)
+            chains = chains_of[key] = link(reliable_tracklets, graph)
         report = reports.get(chains)
         if report is None:
             trajectories = build_trajectories(reliable_tracklets, chains)
@@ -346,6 +353,45 @@ def learn_weights(
                 best = value
         learned[level] = best
     return learned[0], learned[1]
+
+
+def _sweep_scoring(rows: list[aff.AffinityRow], cost: np.ndarray, cfg: RunConfig):
+    """How the rows' costs (``cost``, one per row) move over the weight
+    sweep: returns ``key(point)`` and ``costs(key)``.  Two points share
+    a key exactly when ``affinity.link_score`` gives every flagged row
+    the same (score, cost) at both, and ``costs`` gives the rows' costs
+    at the points of a key.
+
+    Most flagged rows score one way at every weight above 0
+    (``affinity.fixed_above_zero``), so they move only when their level's
+    weight (lambda1 up to ``gap_bound`` empty frames, lambda2 beyond)
+    reaches 0.  The key holds, for each level, whether its weight is 0
+    when that moves some row, and the (score, cost) of every other
+    flagged row at the point."""
+    above, zero = (replace(cfg, lambda1=lam, lambda2=lam) for lam in (1.0, 0.0))
+    flagged = [(k, r) for k, r in enumerate(rows) if r.flagged]
+    varying = [(k, r) for k, r in flagged if not aff.fixed_above_zero(r.p_m, r.gap)]
+    fixed = [(k, r) for k, r in flagged if aff.fixed_above_zero(r.p_m, r.gap)]
+    # each fixed row's (score, cost) above weight 0 and at 0, and its level
+    scored = [[aff.link_score(r.p_m, r.p_a, True, r.gap, c)[1:] for c in (above, zero)] for _, r in fixed]
+    level = np.array([r.gap > cfg.gap_bound for _, r in fixed], dtype=int)
+    moves = [any(s[0] != s[1] for s, at in zip(scored, level) if at == lv) for lv in (0, 1)]
+    fixed_cost = np.array([[a[1], z[1]] for a, z in scored]).reshape(-1, 2)
+    fixed_at, varying_at = [k for k, _ in fixed], [k for k, _ in varying]
+
+    def key(point: RunConfig) -> tuple:
+        at_zero = (point.lambda1 == 0.0, point.lambda2 == 0.0)
+        return tuple(z and m for z, m in zip(at_zero, moves)) + tuple(
+            aff.link_score(r.p_m, r.p_a, True, r.gap, point)[1:] for _, r in varying
+        )
+
+    def costs(key: tuple) -> np.ndarray:
+        out = cost.copy()
+        out[fixed_at] = fixed_cost[np.arange(len(fixed_at)), np.array(key[:2], dtype=int)[level]]
+        out[varying_at] = [c for _, c in key[2:]]
+        return out
+
+    return key, costs
 
 
 def _better(candidate: MetricReport, incumbent: MetricReport) -> bool:

@@ -1,7 +1,10 @@
 """Minimum-cost node-disjoint source->sink paths in a DAG, solved as one
 sparse assignment problem.  ``min_cost_paths`` solves over nodes
 ``0..n-1`` given as arrays; ``solve_paths`` is its adapter for a
-``FlowGraph``, which keeps only the cheapest copy of a parallel edge.
+``FlowGraph``, which keeps the same arrays under node ids and is built
+whole by ``FlowGraph.from_arrays`` or one node or edge at a time.  The
+adapter numbers the nodes by ascending id, keeps only the cheapest copy
+of a parallel edge and maps the paths back with array operations.
 
 A set of node-disjoint paths gives every used node exactly one
 predecessor (another node or the source) and one successor (another
@@ -61,52 +64,145 @@ class InfeasibleCoverError(FlowGraphError):
 
 
 class FlowGraph:
-    """Source/sink DAG description: nodes with optional cost and
-    must_cover flag, directed edges with real finite costs.  Of parallel
-    edges only the cheapest copy is kept."""
+    """Source/sink DAG description, kept as arrays in the layout of
+    ``min_cost_paths``: nodes ``node_ids[k]`` with a cost and a
+    must_cover flag, each node's entry and exit cost (``inf``: no such
+    edge) and links ``src[k] -> dst[k]`` between node indices, with real
+    finite costs.  ``from_arrays`` builds a whole graph at once;
+    ``add_node`` and ``add_edge`` add one node or edge by id.  Of
+    parallel edges only the cheapest copy counts; a source->sink edge
+    covers nothing and is not kept."""
 
     def __init__(self):
-        self._nodes: dict[int, tuple[float, bool]] = {}
-        self._edges: dict[tuple[int, int], float] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._node_cost = np.empty(0)
+        self._must_cover = np.empty(0, dtype=bool)
+        self._entry = np.empty(0)
+        self._exit = np.empty(0)
+        self._src = np.empty(0, dtype=np.int64)
+        self._dst = np.empty(0, dtype=np.int64)
+        self._link_cost = np.empty(0)
+
+    @classmethod
+    def from_arrays(cls, node_ids, node_cost, must_cover, entry, exit_, src, dst, link_cost):
+        """A graph over nodes ``node_ids``, its links given by node index;
+        the arrays are copied, and checked by the rules of ``add_node``
+        and ``add_edge``."""
+        g = cls()
+        g._add_nodes(node_ids, node_cost, must_cover, entry, exit_)
+        g._add_links(src, dst, link_cost)
+        return g
 
     def add_node(self, node_id: int, cost: float = 0.0, must_cover: bool = False):
-        if node_id in (SOURCE, SINK):
-            raise FlowGraphError("node ids -1/-2 are reserved for source/sink")
-        if node_id in self._nodes:
-            raise FlowGraphError(f"duplicate node id {node_id}")
-        if not math.isfinite(cost):
-            raise FlowGraphError(f"node {node_id} cost must be finite")
-        self._nodes[node_id] = (float(cost), bool(must_cover))
+        self._add_nodes([node_id], [cost], [must_cover], [math.inf], [math.inf])
 
     def add_edge(self, u: int, v: int, cost: float):
         if u == SINK or v == SOURCE:
             raise FlowGraphError("edges cannot leave the sink or enter the source")
-        for endpoint in (u, v):
-            if endpoint not in (SOURCE, SINK) and endpoint not in self._nodes:
-                raise FlowGraphError(f"edge endpoint {endpoint} is not a known node")
-        if u == v:
-            raise FlowGraphError("self loops are not allowed")
+        try:
+            ku, kv = (e if e in (SOURCE, SINK) else self._position(e) for e in (u, v))
+        except KeyError as err:
+            raise FlowGraphError(f"edge endpoint {err.args[0]} is not a known node") from None
         if not math.isfinite(cost):
             raise FlowGraphError(f"edge ({u}, {v}) cost must be finite")
-        self._edges[u, v] = min(float(cost), self._edges.get((u, v), math.inf))
+        if u == SOURCE and v != SINK:
+            self._entry[kv] = min(self._entry[kv], cost)
+        elif v == SINK and u != SOURCE:
+            self._exit[ku] = min(self._exit[ku], cost)
+        elif u != SOURCE:
+            self._add_links([ku], [kv], [cost])
+
+    def _add_nodes(self, node_ids, node_cost, must_cover, entry, exit_):
+        ids = _vector(node_ids, np.int64, "node ids")
+        node_cost, entry, exit_ = (_vector(a, float, "node costs") for a in (node_cost, entry, exit_))
+        must_cover = _vector(must_cover, bool, "must_cover flags")
+        if not len(ids) == len(node_cost) == len(must_cover) == len(entry) == len(exit_):
+            raise FlowGraphError("node arrays differ in length")
+        if ((ids == SOURCE) | (ids == SINK)).any():
+            raise FlowGraphError("node ids -1/-2 are reserved for source/sink")
+        every = np.sort(np.concatenate([self._ids, ids]))
+        repeated = every[1:][every[1:] == every[:-1]]
+        if len(repeated):
+            raise FlowGraphError(f"duplicate node id {repeated[0]}")
+        bad = ~np.isfinite(node_cost)
+        for ends in (entry, exit_):  # inf: no entry (exit) edge
+            bad |= ~np.isfinite(ends) & (ends != np.inf)
+        if bad.any():
+            raise FlowGraphError(f"node {ids[bad][0]} cost must be finite")
+        self._ids = np.concatenate([self._ids, ids])
+        self._node_cost = np.concatenate([self._node_cost, node_cost])
+        self._must_cover = np.concatenate([self._must_cover, must_cover])
+        self._entry = np.concatenate([self._entry, entry])
+        self._exit = np.concatenate([self._exit, exit_])
+
+    def _add_links(self, src, dst, link_cost):
+        src, dst = (_vector(a, np.int64, "link endpoints") for a in (src, dst))
+        link_cost = _vector(link_cost, float, "link costs")
+        if not len(src) == len(dst) == len(link_cost):
+            raise FlowGraphError("link arrays differ in length")
+        n = len(self._ids)
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise FlowGraphError("link endpoint index out of range")
+        if (src == dst).any():
+            raise FlowGraphError("self loops are not allowed")
+        bad = ~np.isfinite(link_cost)
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise FlowGraphError(f"edge ({self._ids[src[k]]}, {self._ids[dst[k]]}) cost must be finite")
+        self._src = np.concatenate([self._src, src])
+        self._dst = np.concatenate([self._dst, dst])
+        self._link_cost = np.concatenate([self._link_cost, link_cost])
+
+    def _cheapest_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The links as (src, dst, cost), the cheapest copy of each pair,
+        sorted by (src, dst)."""
+        order = np.lexsort((self._link_cost, self._dst, self._src))
+        src, dst = self._src[order], self._dst[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        return src[first], dst[first], self._link_cost[order[first]]
 
     @property
     def node_ids(self) -> list[int]:
-        return list(self._nodes)
+        return self._ids.tolist()
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
-        return [(u, v, cost) for (u, v), cost in self._edges.items()]
+        ids = self._ids.tolist()
+        starts, ends = np.flatnonzero(np.isfinite(self._entry)), np.flatnonzero(np.isfinite(self._exit))
+        src, dst, cost = self._cheapest_links()
+        return (
+            [(SOURCE, ids[k], c) for k, c in zip(starts.tolist(), self._entry[starts].tolist())]
+            + [(ids[k], SINK, c) for k, c in zip(ends.tolist(), self._exit[ends].tolist())]
+            + [(ids[u], ids[v], c) for u, v, c in zip(src.tolist(), dst.tolist(), cost.tolist())]
+        )
 
     def node_cost(self, node_id: int) -> float:
-        return self._nodes[node_id][0]
+        return float(self._node_cost[self._position(node_id)])
 
     def is_must_cover(self, node_id: int) -> bool:
-        return self._nodes[node_id][1]
+        return bool(self._must_cover[self._position(node_id)])
+
+    def _position(self, node_id: int) -> int:
+        hit = np.flatnonzero(self._ids == node_id)
+        if not len(hit):
+            raise KeyError(node_id)
+        return int(hit[0])
 
     @property
     def must_cover_ids(self) -> list[int]:
-        return [n for n, (_, mc) in self._nodes.items() if mc]
+        return self._ids[self._must_cover].tolist()
+
+
+def _vector(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a new 1-D array of ``dtype``; ids and indices must
+    already be integers."""
+    a = np.array(values)
+    if a.ndim != 1:
+        raise FlowGraphError(f"{what} must be a 1-D array")
+    if dtype is np.int64 and len(a) and a.dtype.kind not in "iu":
+        raise FlowGraphError(f"{what} must be integers")
+    return a.astype(dtype)
 
 
 @dataclass
@@ -193,28 +289,26 @@ def solve_paths(g: FlowGraph, mode: str = "free") -> FlowResult:
     """
     if mode not in ("free", "cover_all"):
         raise ValueError(f"unknown mode {mode!r}")
-    order = sorted(g.node_ids)  # node index k is order[k]
-    node_cost = np.array([g.node_cost(v) for v in order])
-    must_cover = np.array([mode == "cover_all" and g.is_must_cover(v) for v in order], dtype=bool)
-    tail, head = np.array(list(g._edges), dtype=np.int64).reshape(-1, 2).T
-    cost = np.array(list(g._edges.values()))
-    k_tail, k_head = np.searchsorted(order, (tail, head))
-    starts = (tail == SOURCE) & (head != SINK)  # a source->sink edge covers nothing
-    ends = (head == SINK) & (tail != SOURCE)
-    links = (tail != SOURCE) & (head != SINK)
-    entry, exit_ = np.full(len(order), np.inf), np.full(len(order), np.inf)
-    entry[k_head[starts]] = cost[starts]
-    exit_[k_tail[ends]] = cost[ends]
+    order = np.argsort(g._ids)  # solver node k is g's node order[k]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    src, dst, link_cost = g._cheapest_links()
+    node_cost, entry, exit_ = g._node_cost[order], g._entry[order], g._exit[order]
+    must_cover = g._must_cover[order] & (mode == "cover_all")
     try:
-        found = min_cost_paths(
-            node_cost, must_cover, entry, exit_, k_tail[links], k_head[links], cost[links]
-        )
+        found = min_cost_paths(node_cost, must_cover, entry, exit_, rank[src], rank[dst], link_cost)
     except InfeasibleCoverError as err:
-        off_path = [order[k] for k in err.uncoverable]
+        off_path = g._ids[order[err.uncoverable]].tolist()
         raise InfeasibleCoverError(off_path or g.must_cover_ids) from None
 
-    paths = [[order[k] for k in path] for path in found]
-    terms = [g._edges[SOURCE, p[0]] for p in paths] + [g._edges[p[-1], SINK] for p in paths]
-    terms += [g._edges[step] for p in paths for step in zip(p, p[1:])]
-    terms += [g.node_cost(node) for p in paths for node in p]
-    return FlowResult(paths=paths, total_cost=math.fsum(terms))
+    ids = g._ids[order]
+    paths = [ids[path].tolist() for path in found]
+    on_path = np.array([k for path in found for k in path], dtype=np.int64)
+    steps = np.array([pair for path in found for pair in zip(path, path[1:])], dtype=np.int64)
+    steps = order[steps.reshape(-1, 2)]  # g's node indices, as in src and dst
+    # src * n + dst ascends with the (src, dst) order of the cheapest links
+    n = len(order)
+    step_cost = link_cost[np.searchsorted(src * n + dst, steps[:, 0] * n + steps[:, 1])]
+    firsts, lasts = [path[0] for path in found], [path[-1] for path in found]
+    terms = np.concatenate([entry[firsts], exit_[lasts], step_cost, node_cost[on_path]])
+    return FlowResult(paths=paths, total_cost=math.fsum(terms.tolist()))

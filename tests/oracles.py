@@ -12,7 +12,8 @@ the initial tracklet reference runs the greedy extraction over the whole
 scene with a scalar gate.  The evaluation reference is the per-frame
 CLEAR MOT loop (carry, then Hungarian matching in every frame, one
 ``model.iou`` call per pair) that ``evaluation.evaluate`` must match
-field for field.
+field for field.  The association graph reference adds its nodes and
+edges one at a time through ``FlowGraph.add_node``/``add_edge``.
 """
 
 from __future__ import annotations
@@ -199,6 +200,24 @@ def build_graph(node_ids, edges) -> FlowGraph:
         g.add_node(n, must_cover=True)
     for u, v, cost in edges:
         g.add_edge(u, v, cost)
+    return g
+
+
+def reference_association_graph(tracklets, tables, cfg: RunConfig) -> FlowGraph:
+    """The association graph built edge by edge: every tracklet a
+    zero-cost must-cover node with entry and exit edges of cost
+    -log(entry_exit_prob), then one edge per table row of finite cost, in
+    table order."""
+    g = FlowGraph()
+    entry_cost = -math.log(cfg.entry_exit_prob)
+    for t in sorted(tracklets, key=lambda t: t.id):
+        g.add_node(t.id, cost=0.0, must_cover=True)
+        g.add_edge(SOURCE, t.id, entry_cost)
+        g.add_edge(t.id, SINK, entry_cost)
+    for table in tables:
+        for row in table.rows:
+            if math.isfinite(row.cost):
+                g.add_edge(row.i, row.j, row.cost)
     return g
 
 

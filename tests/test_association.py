@@ -9,20 +9,24 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracklink import affinity as aff
 from tracklink import association
 from tracklink.association import (
     associate,
+    build_association_graph,
     infer_frame_size,
     interpolate_members,
     segment_index_of,
     track_sequence,
 )
+from tracklink.flow import SINK, SOURCE, FlowGraphError, solve_paths
 from tracklink.model import Detection, RunConfig, gap_frames
 from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
 
 from conftest import make_tracklet, requires_fork
+from oracles import reference_association_graph
 
 
 def row(i, j, score, gap=1):
@@ -120,6 +124,66 @@ class TestAssociate:
             trajs = associate([t1, t2, t3], [table(rows)], cfg)
             linked = next(t.tracklet_ids for t in trajs if len(t.tracklet_ids) > 1)
             assert linked == (1, 2)
+
+
+class TestAssociationGraph:
+    """``build_association_graph`` builds the graph from arrays and
+    rejects what ``FlowGraph.add_node``/``add_edge`` reject."""
+
+    def test_row_naming_an_unknown_id(self):
+        # 2 lies between the ids 1 and 3, so an unchecked searchsorted
+        # would map it onto 3
+        tracklets = [make_tracklet(1, 1, length=5), make_tracklet(3, 20, length=5)]
+        with pytest.raises(FlowGraphError, match="endpoint 2"):
+            build_association_graph(tracklets, [table([row(1, 2, 0.5)])], RunConfig())
+
+    def test_repeated_tracklet_id(self):
+        tracklets = [make_tracklet(1, 1, length=5), make_tracklet(1, 20, length=5)]
+        with pytest.raises(FlowGraphError, match="duplicate node id 1"):
+            build_association_graph(tracklets, [table([])], RunConfig())
+
+    def test_self_loop(self):
+        tracklets = [make_tracklet(1, 1, length=5), make_tracklet(2, 20, length=5)]
+        with pytest.raises(FlowGraphError, match="self loops"):
+            build_association_graph(tracklets, [table([row(1, 2, 0.5), row(2, 2, 0.5)])], RunConfig())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True),
+        links=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.one_of(st.just(math.inf), st.floats(-3.0, 3.0)),
+                st.integers(0, 2),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_an_edge_by_edge_build(self, ids, links):
+        # inf-cost rows are no edge; a pair repeated within or across
+        # tables keeps its cheapest copy
+        order = sorted(ids)
+        tracklets = [make_tracklet(n, 1, length=2) for n in ids]
+        rows = [[], [], []]
+        for a, b, cost, k in links:
+            a, b = a % len(order), b % len(order)
+            if a < b:  # forward in id order: acyclic
+                rows[k].append(dataclasses.replace(row(order[a], order[b], 0.5), cost=cost))
+        tables = [table(r) for r in rows]
+        cfg = RunConfig()
+        got = build_association_graph(tracklets, tables, cfg)
+        want = reference_association_graph(tracklets, tables, cfg)
+        assert sorted(got.node_ids) == sorted(want.node_ids)
+        assert sorted(got.edges) == sorted(want.edges)
+        entry = -math.log(cfg.entry_exit_prob)
+        cheapest = {(SOURCE, n): entry for n in order} | {(n, SINK): entry for n in order}
+        for r in (r for t in tables for r in t.rows if math.isfinite(r.cost)):
+            cheapest[r.i, r.j] = min(r.cost, cheapest.get((r.i, r.j), math.inf))
+        assert sorted(got.edges) == sorted((u, v, c) for (u, v), c in cheapest.items())
+        assert [got.node_cost(n) for n in order] == [want.node_cost(n) for n in order]
+        assert sorted(got.must_cover_ids) == sorted(want.must_cover_ids) == order
+        assert solve_paths(got, "cover_all") == solve_paths(want, "cover_all")
 
 
 class TestEndToEnd:

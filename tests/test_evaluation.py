@@ -1,6 +1,8 @@
+import functools
 import importlib.util
 import math
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -8,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_evaluate
+from oracles import reference_association_graph, reference_evaluate
 from tracklink import affinity as aff
-from tracklink import evaluation
+from tracklink import association, evaluation
 from tracklink.association import associate, prepare_reliable_tracklets
 from tracklink.evaluation import evaluate, format_report, learn_weights
 from tracklink.model import RunConfig, iou
@@ -251,6 +253,57 @@ def _bench_scenes():
     return module
 
 
+# the benchmark's scenes (bench/run.py WORKLOADS)
+_BENCH_SPECS = {
+    "appearance": dict(
+        n_frames=320, groups={"crossing": 4, "merge": 3, "bounce": 3}, life=100, grid=(3, 2),
+        scene_seed=1,
+    ),
+    "crowd": dict(
+        n_frames=50, groups={"crossing": 3, "merge": 2, "bounce": 2}, life=50, grid=(4, 2),
+        scene_seed=1,
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_state(workload, index):
+    """A benchmark scene (run seed 1) prepared for the weight sweep, as
+    (state, ground truth, cfg)."""
+    scenes = _bench_scenes()
+    cfg = RunConfig(frame_width=scenes.WIDTH, frame_height=scenes.HEIGHT)
+    scene = scenes.make_scene(scenes.SceneSpec(**_BENCH_SPECS[workload]), 1, index)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = scenes.write_scene(scene, Path(tmp))
+        detections = load_detections(paths["detections"], sidecar_path=paths["features"])
+        gt = load_ground_truth(paths["ground_truth"])
+    return prepare_reliable_tracklets(detections, cfg), gt, cfg
+
+
+def _counting_solves(monkeypatch):
+    """The graphs of every ``flow.solve_paths`` call ``link`` makes."""
+    real, graphs = association.solve_paths, []
+
+    def counting(graph, mode="free"):
+        graphs.append(graph)
+        return real(graph, mode)
+
+    monkeypatch.setattr(association, "solve_paths", counting)
+    return graphs
+
+
+def _reduced_keys(tables, cfg, points):
+    """``learn_weights``' key of each point."""
+    rows = [r for t in tables for r in t.rows if r.flagged or math.isfinite(r.cost)]
+    key_of, _ = evaluation._sweep_scoring(rows, np.array([r.cost for r in rows]), cfg)
+    return [key_of(point) for point in points]
+
+
+def _split(keys):
+    """How keys split their points: each point's first point with its key."""
+    return [keys.index(k) for k in keys]
+
+
 def _flagged_key(tables, cfg):
     """The (i, j, score, cost) of every flagged row under cfg."""
     return tuple(
@@ -318,19 +371,12 @@ class TestLearnWeights:
             calls.append(args)
             return real_link(*args)
 
-        real_refit = aff.refit_lambdas
-        refits = []
-
-        def counting_refit(*args):
-            refits.append(args)
-            return real_refit(*args)
-
         monkeypatch.setattr(evaluation, "link", counting_link)
-        monkeypatch.setattr(aff, "refit_lambdas", counting_refit)
+        solves = _counting_solves(monkeypatch)
         trace = []
         learned = learn_weights(state.reliable_tracklets, gt, cfg, tables, trace=trace)
         assert len(calls) == 1
-        assert len(refits) == len(tables)  # one key: the tables are built once
+        assert len(solves) == 1  # one key: one graph is solved
         refit = [aff.refit_lambdas(t, cfg) for t in tables]
         report = evaluate(result_view(associate(state.reliable_tracklets, refit, cfg)), gt)
         sweep = [round(0.1 * k, 1) for k in range(11)]
@@ -360,43 +406,82 @@ class TestLearnWeights:
         assert len(solved) == 2
         assert len(evaluated) == len(set(solved)) == 1
 
-    def test_refit_tables_built_once_per_flagged_key(self, tmp_path, monkeypatch):
-        # the benchmark's appearance scenes (bench/run.py WORKLOADS)
-        scenes = _bench_scenes()
-        spec = scenes.SceneSpec(
-            n_frames=320,
-            groups={"crossing": 4, "merge": 3, "bounce": 3},
-            life=100,
-            grid=(3, 2),
-            scene_seed=1,
-        )
-        cfg = RunConfig(frame_width=scenes.WIDTH, frame_height=scenes.HEIGHT)
-        real_refit = aff.refit_lambdas
-        keys = []
+    @pytest.mark.parametrize(
+        "workload, keys",
+        [("appearance", [21, 12, 12]), ("crowd", [12, 12, 12])],
+        ids=["appearance", "crowd"],
+    )
+    def test_one_solve_per_flagged_key(self, workload, keys, monkeypatch):
+        # on the benchmark's scenes, one graph is solved per distinct
+        # (score, cost) of the flagged rows, and it is the graph of the
+        # tables refit at that key's first point
+        solved = []
         for index in range(3):
-            paths = scenes.write_scene(scenes.make_scene(spec, 1, index), tmp_path)
-            detections = load_detections(paths["detections"], sidecar_path=paths["features"])
-            gt = load_ground_truth(paths["ground_truth"])
-            state = prepare_reliable_tracklets(detections, cfg)
-            built = []
-            monkeypatch.setattr(
-                aff, "refit_lambdas", lambda t, c: built.append((t, c)) or real_refit(t, c)
-            )
+            state, gt, cfg = _bench_state(workload, index)
+            solves = _counting_solves(monkeypatch)
             trace = []
             learn_weights(state.reliable_tracklets, gt, cfg, state.tables, trace=trace)
             monkeypatch.undo()
-            # each build refits every table under one point's weights
-            points = [c for _, c in built[:: len(state.tables)]]
-            assert built == [(t, c) for c in points for t in state.tables]
-            every = [replace(cfg, lambda1=l1, lambda2=l2) for l1, l2, *_ in trace]
-            assert len({_flagged_key(state.tables, c) for c in points}) == len(points)
-            assert len({_flagged_key(state.tables, c) for c in every}) == len(points)
-            keys.append(len(points))
-        assert keys == [21, 12, 12]
+            points = [replace(cfg, lambda1=l1, lambda2=l2) for l1, l2, *_ in trace]
+            full = [_flagged_key(state.tables, c) for c in points]
+            firsts = [points[full.index(k)] for k in dict.fromkeys(full)]
+            assert len(solves) == len(firsts)
+            for graph, point in zip(solves, firsts):
+                refit = [aff.refit_lambdas(t, point) for t in state.tables]
+                want = reference_association_graph(state.reliable_tracklets, refit, point)
+                assert sorted(graph.node_ids) == sorted(want.node_ids)
+                assert sorted(graph.edges) == sorted(want.edges)
+            solved.append(len(solves))
+        assert solved == keys
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_a_sweep_that_evaluates_every_point(self, seed):
-        state, gt, cfg = self._setup(seed)
+    @pytest.mark.parametrize("workload", ["appearance", "crowd"])
+    def test_reduced_key_splits_bench_points_like_every_flagged_row(self, workload):
+        for index in range(3):
+            state, gt, cfg = _bench_state(workload, index)
+            trace = []
+            learn_weights(state.reliable_tracklets, gt, cfg, state.tables, trace=trace)
+            points = [replace(cfg, lambda1=l1, lambda2=l2) for l1, l2, *_ in trace]
+            full = [_flagged_key(state.tables, c) for c in points]
+            assert _split(_reduced_keys(state.tables, cfg, points)) == _split(full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([-0.5, -0.0, 0.0, 1.0, 1.5]), st.floats(0.0, 1.0)),
+                st.one_of(st.sampled_from([0.0, 1e-13, 1.0]), st.floats(0.0, 1.0)),
+                st.integers(-1, 4),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+        gap_bound=st.integers(0, 3),
+    )
+    def test_reduced_key_splits_points_like_every_flagged_row(self, rows, gap_bound):
+        # rows with P_m <= 0, P_m >= 1, 0 < P_m < 1, gap 0, P_a 0 or 1 and
+        # a floored score; every point of the 11 x 11 grid
+        cfg = RunConfig(gap_bound=gap_bound)
+        table = aff.AffinityTable(0, tuple(
+            aff.AffinityRow(k, k + 1, p_m, p_a, flagged, gap, *aff.link_score(p_m, p_a, flagged, gap, cfg))
+            for k, (p_m, p_a, gap, flagged) in enumerate(rows)
+        ), 1.0)
+        sweep = [round(0.1 * k, 1) for k in range(11)]
+        points = [replace(cfg, lambda1=a, lambda2=b) for a in sweep for b in sweep]
+        full = [_flagged_key([table], c) for c in points]
+        assert _split(_reduced_keys([table], cfg, points)) == _split(full)
+        key_of, costs_of = evaluation._sweep_scoring(table.rows, np.array([r.cost for r in table.rows]), cfg)
+        for point in points:
+            want = [r.cost for r in aff.refit_lambdas(table, point).rows]
+            assert costs_of(key_of(point)).tolist() == want
+
+    @pytest.mark.parametrize(
+        "scene", [1, 2, ("crowd", 0), ("crowd", 1), ("crowd", 2)],
+        ids=["1", "2", "crowd-0", "crowd-1", "crowd-2"],
+    )
+    def test_matches_a_sweep_that_evaluates_every_point(self, scene):
+        # seeds 1 and 2 of the two-target scenario, and the benchmark's
+        # crowd scenes
+        state, gt, cfg = self._setup(scene) if isinstance(scene, int) else _bench_state(*scene)
         sweep = [round(0.1 * k, 1) for k in range(11)]
         expected = []
         learned = [0.0, 0.0]

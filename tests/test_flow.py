@@ -287,6 +287,41 @@ class TestValidation:
         res = solve_paths(FlowGraph(), mode="cover_all")
         assert res.paths == [] and res.total_cost == 0.0
 
+    def test_from_arrays_checks_like_add_edge(self):
+        def build(ids=(3, 5), cost=(0.0, 0.0), entry=(0.0, math.inf), src=(0,), dst=(1,), link=(1.0,)):
+            return FlowGraph.from_arrays(ids, cost, [True] * len(ids), entry, entry, src, dst, link)
+
+        for bad in (
+            dict(ids=(3, SINK)),
+            dict(ids=(5, 5)),
+            dict(ids=(3.0, 5.0)),
+            dict(ids=(3, 5, 7)),
+            dict(cost=(0.0, math.nan)),
+            dict(entry=(0.0, -math.inf)),
+            dict(src=(2,)),
+            dict(dst=(-1,)),
+            dict(src=(1,)),
+            dict(link=(math.inf,)),
+            dict(src=(0, 1), dst=(1,), link=(1.0,)),
+        ):
+            with pytest.raises(FlowGraphError):
+                build(**bad)
+        g = build()
+        assert g.node_ids == [3, 5]
+        assert sorted(g.edges) == [(SOURCE, 3, 0.0), (3, SINK, 0.0), (3, 5, 1.0)]
+
+    def test_from_arrays_copies_and_keeps_cheapest_copy(self):
+        link = np.array([2.0, 0.5, 1.0])
+        g = FlowGraph.from_arrays(
+            [7, 4], [0.25, 0.0], [True, True], [1.0, 1.0], [1.0, 1.0], [1, 1, 1], [0, 0, 0], link
+        )
+        link[:] = 9.0
+        assert sorted(g.edges) == sorted(
+            [(SOURCE, 7, 1.0), (SOURCE, 4, 1.0), (7, SINK, 1.0), (4, SINK, 1.0), (4, 7, 0.5)]
+        )
+        res = solve_paths(g, mode="cover_all")
+        assert res.paths == [[4, 7]] and res.total_cost == 1.0 + 0.5 + 0.25 + 1.0
+
     def test_array_links_must_be_distinct_pairs(self):
         # the assignment matrix would sum a repeated pair's arcs
         free, ends = np.zeros(2, dtype=bool), np.zeros(2)
