@@ -211,6 +211,19 @@ class FlowResult:
     total_cost: float
 
 
+def _csr(rows, cols, data, size):
+    """``size`` x ``size`` CSR matrix with ``data[k]`` at ``(rows[k],
+    cols[k])``, built in canonical order (rows ascending, columns ascending
+    within a row); None if a (row, col) pair repeats."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        return None
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return csr_matrix((data[order], cols, indptr), shape=(size, size))
+
+
 def min_cost_paths(node_cost, must_cover, entry, exit_, src, dst, link_cost) -> list[list[int]]:
     """Minimum-cost node-disjoint paths over nodes ``0..n-1``, sorted by
     first node.  Numpy arrays: every used node pays ``node_cost``, a path
@@ -223,8 +236,9 @@ def min_cost_paths(node_cost, must_cover, entry, exit_, src, dst, link_cost) -> 
     n, m = len(node_cost), len(src)
     if n == 0:
         return []
-    links = csr_matrix((np.ones(m), (src, dst)), shape=(n, n))  # sums repeated pairs
-    if links.nnz < m or np.any(src == dst):
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    links = _csr(src, dst, np.ones(m), n)
+    if links is None or np.any(src == dst):
         raise FlowGraphError("links must be distinct pairs of distinct nodes")
     # without self loops the graph is acyclic iff each of its n nodes is a
     # strong component of its own
@@ -255,9 +269,9 @@ def min_cost_paths(node_cost, must_cover, entry, exit_, src, dst, link_cost) -> 
     scale = 2.0 ** math.floor(math.log2(2.0**48 / (n * (1.0 + np.abs(weights).max()))))
     weights = np.rint(weights * scale)
     weights += 1.0 - weights.min()
-    # no (row, col) pair repeats; sorted columns fix the tie-break
-    matrix = csr_matrix((weights, (rows, cols)), shape=(2 * n, 2 * n))
-    matrix.sort_indices()
+    # distinct links make distinct (row, col) pairs; sorted columns fix
+    # the tie-break
+    matrix = _csr(rows, cols, weights, 2 * n)
     try:
         _, col_ind = min_weight_full_bipartite_matching(matrix)
     except ValueError:

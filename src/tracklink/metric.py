@@ -128,14 +128,21 @@ def _negative_source_admissible(
     return True
 
 
-def _logistic_loss(a: np.ndarray) -> float:
-    return float(np.logaddexp(0.0, a).sum())
+def _logistic_loss(a: np.ndarray, hinge: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum of log(1 + exp(a_k)), e) for margins ``a`` and their
+    ``hinge = max(a, 0)``: each term is summed as ``hinge + log1p(e)`` with
+    ``e = exp(-|a|)``, which ``_sigmoid`` takes on for the gradient."""
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    terms = np.log1p(e)
+    terms += hinge
+    return float(terms.sum()), e
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 + exp(a)) below: never
-    # overflows, and equals those two forms bit for bit
-    e = np.exp(-np.abs(a))
+def _sigmoid(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # with e = exp(-|a|): 1 / (1 + exp(-a)) for a >= 0 and exp(a) / (1 +
+    # exp(a)) below; never overflows, and equals those two forms bit for bit
     return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -155,12 +162,15 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     and at most r_max are kept.  A column whose loss is not finite raises
     ValueError.
 
-    A backtracking candidate with pair margins ``a`` is rejected without
-    evaluating its loss when ``sum(max(a, 0))`` already exceeds the Armijo
-    threshold.  This cannot change a decision: every rounded
-    ``logaddexp(0, a_k)`` is at least ``max(a_k, 0)``, both sums run the
-    same pairwise summation tree over arrays of one length, and rounded
-    addition is monotone, so the bound never exceeds the exact loss.
+    Each loss term is summed as ``max(a_k, 0) + log1p(exp(-|a_k|))``, so one
+    ``exp`` per margin vector serves both the loss and the gradient's
+    sigmoid.  A backtracking candidate with pair margins ``a`` is rejected
+    without evaluating its loss when ``sum(max(a, 0))`` already exceeds the
+    Armijo threshold.  This cannot change a decision: ``log1p`` of a
+    non-negative number is non-negative, so every rounded term is at least
+    its ``max(a_k, 0)``, both sums run the same pairwise summation tree over
+    arrays of one length, and rounded addition is monotone, so the bound
+    never exceeds the exact loss.
     """
     pos = np.asarray(pairs.positives, dtype=float)
     neg = np.asarray(pairs.negatives, dtype=float)
@@ -183,7 +193,8 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     cols: list[np.ndarray] = []
     base_p = np.zeros(n_p)
     base_n = np.zeros(n_n)
-    current_loss = _logistic_loss(base_p[ip] - base_n[iN])
+    a = base_p[ip] - base_n[iN]
+    current_loss, _ = _logistic_loss(a, np.maximum(a, 0.0))
     initial_loss = current_loss
     curves: list[tuple[float, ...]] = []
 
@@ -251,10 +262,10 @@ def _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve: list[floa
         return up, un, (base_p + up**2)[ip] - (base_n + un**2)[iN]
 
     up, un, a = margins(w)
-    loss = _logistic_loss(a)
+    loss, e = _logistic_loss(a, np.maximum(a, 0.0))
     curve.append(loss)
     for _ in range(_MAX_INNER_STEPS):
-        s = _sigmoid(a)
+        s = _sigmoid(a, e)
         coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
         coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
         grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un))
@@ -268,15 +279,16 @@ def _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve: list[floa
             candidate = w - step * grad
             c_up, c_un, c_a = margins(candidate)
             threshold = loss - _ARMIJO_C * step * grad_sq
-            if float(np.maximum(c_a, 0.0).sum()) <= threshold:
-                cand_loss = _logistic_loss(c_a)
+            c_hinge = np.maximum(c_a, 0.0)
+            if float(c_hinge.sum()) <= threshold:
+                cand_loss, c_e = _logistic_loss(c_a, c_hinge)
                 if cand_loss <= threshold:
                     break
             step *= 0.5
         else:
             break
         relative = (loss - cand_loss) / max(abs(loss), 1e-12)
-        w, up, un, a, loss = candidate, c_up, c_un, c_a, cand_loss
+        w, up, un, a, e, loss = candidate, c_up, c_un, c_a, c_e, cand_loss
         curve.append(loss)
         if relative < _COLUMN_TOL:
             break

@@ -276,7 +276,7 @@ def reference_probe(t, cfg):
 
 
 def reference_logistic_loss(a):
-    return float(np.logaddexp(0.0, a).sum())
+    return float((np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))).sum())
 
 
 def reference_sigmoid(a):

@@ -213,9 +213,9 @@ class TestReferenceEquivalence:
         exact = {"production": 0, "reference": 0}
 
         def counted(key, loss):
-            def wrapper(a):
+            def wrapper(*args):
                 exact[key] += 1
-                return loss(a)
+                return loss(*args)
 
             return wrapper
 
@@ -343,16 +343,34 @@ class TestExactRewrites:
     @example(np.array(_EDGE_VALUES))
     def test_sigmoid_equals_masked_form(self, a):
         expected = reference_sigmoid(a)
-        got = metric_module._sigmoid(a)
+        with np.errstate(over="ignore"):  # the loss of such margins may overflow; e cannot
+            _, e = metric_module._logistic_loss(a, np.maximum(a, 0.0))
+        got = metric_module._sigmoid(a, e)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @given(_summable_margins)
     @example(np.array(_EDGE_VALUES))
     @example(np.full(300, 1e3))
     def test_hinge_sum_bounds_logistic_loss(self, a):
-        loss = metric_module._logistic_loss(a)
+        loss, _ = metric_module._logistic_loss(a, np.maximum(a, 0.0))
         assert math.isfinite(loss)
         assert float(np.maximum(a, 0.0).sum()) <= loss
+
+    @given(_summable_margins)
+    @example(np.array(_EDGE_VALUES))
+    @example(np.full(300, 1e3))
+    # +inf gives an infinite loss, which learn_metric reports; -inf adds 0
+    @example(np.array([math.inf]))
+    @example(np.array([-math.inf]))
+    @example(np.array([37.0]))
+    @example(np.array([-37.0]))
+    @example(np.array([745.2]))
+    @example(np.array([-745.2]))
+    @example(np.array([0.0]))
+    @example(np.array([-0.0]))
+    def test_logistic_loss_equals_logaddexp(self, a):
+        loss, _ = metric_module._logistic_loss(a, np.maximum(a, 0.0))
+        assert loss == pytest.approx(float(np.logaddexp(0.0, a).sum()), rel=1e-12, abs=0.0)
 
 
 class TestDistance:
