@@ -11,10 +11,6 @@ inside each trajectory are filled by linear box interpolation.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,27 +177,6 @@ def _validate(detections: dict[int, list[Detection]]) -> bool:
     return None not in widths
 
 
-def _metric_pool(has_features: bool) -> ProcessPoolExecutor | None:
-    """The pool a run learns its target metrics in: one worker per usable
-    CPU, started by ``fork`` on the first descent handed to it.  Forked
-    workers inherit the loaded modules and the BLAS setting, so each
-    descent computes the same bits as in this process, and a caller
-    script needs no ``__main__`` guard.  None, and every descent runs
-    here, without features, on one usable CPU, where the platform cannot
-    fork, inside a daemonic process (which may not start processes), or
-    while other threads run (a fork copies the locks they hold)."""
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if (
-        not has_features
-        or workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
-        return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-
 def prepare_reliable_tracklets(
     detections: dict[int, list[Detection]],
     cfg: RunConfig,
@@ -213,11 +188,7 @@ def prepare_reliable_tracklets(
     difficult-pair assessment and affinity tables.  The
     tables read each tracklet's reliable-phase metric from one map and
     its probe from the tracklet itself (``metric.probe``).  The input is
-    validated first (``_validate``), before any worker starts.
-
-    A segment's descents run in parallel in one process pool
-    (``_metric_pool``), which is shut down before this returns or
-    raises; the output does not depend on the number of workers."""
+    validated first (``_validate``)."""
     has_features = _validate(detections)
     appearance = use_appearance and has_features
     width, height = infer_frame_size(detections, cfg)
@@ -234,24 +205,16 @@ def prepare_reliable_tracklets(
     # every segment's table
     metrics: dict = {}
     reliable_per_segment: dict[int, list[Tracklet]] = {}
-    pool = _metric_pool(has_features)
-    try:
-        for k in sorted(per_segment):
-            refined = per_segment[k]
-            if has_features:
-                refined = refine_tracklets(
-                    refined, cfg, exit_map=exit_map, next_id=next_id, executor=pool
-                )
-                next_id = max([next_id] + [t.id + 1 for t in refined])
-            if appearance:
-                # second-step update on the reliable tracklets, executed
-                # once; only the appearance cue reads its metrics
-                learned = learn_segment_metrics(refined, "reliable", cfg, exit_map, executor=pool)
-                metrics.update(learned[0])
-            reliable_per_segment[k] = refined
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for k in sorted(per_segment):
+        refined = per_segment[k]
+        if has_features:
+            refined = refine_tracklets(refined, cfg, exit_map=exit_map, next_id=next_id)
+            next_id = max([next_id] + [t.id + 1 for t in refined])
+        if appearance:
+            # second-step update on the reliable tracklets, executed
+            # once; only the appearance cue reads its metrics
+            metrics.update(learn_segment_metrics(refined, "reliable", cfg, exit_map)[0])
+        reliable_per_segment[k] = refined
     reliable = [t for seg in reliable_per_segment.values() for t in seg]
 
     flagged_ids = aff.assess_difficult(reliable, cfg)

@@ -3,8 +3,9 @@
 Each tracklet gets its own Mahalanobis metric M = W W^T learned from
 absolute feature-difference vectors: positives from same-tracklet sample
 pairs, negatives from other tracklets passing the spatio-temporal /
-exit relevance constraints.  W is built one orthogonal column at a time
-by gradient descent on a summed logistic relative-distance loss.  The
+exit relevance constraints.  W is built one orthogonal column at a time;
+each column minimises a summed logistic relative-distance loss plus a
+ridge penalty on W, solved by L-BFGS-B to a gradient tolerance.  The
 learned metrics then refine the tracklets: a run of ``split_run``
 consecutive frames too far from the tracklet's probe splits it.  The
 probe is the tracklet's first strongest sample: the rule that picks the
@@ -14,18 +15,18 @@ samples a tracklet learns from also picks its appearance anchor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
+from scipy.optimize import minimize
 
 from tracklink.model import Detection, ExitMap, RunConfig, Tracklet
 
-_COLUMN_TOL = 1e-4  # relative improvement below this stops columns/steps
-_ARMIJO_C = 1e-4
-_MAX_INNER_STEPS = 100
-_MAX_HALVINGS = 40
+_COLUMN_TOL = 1e-4  # relative fall of the penalised total below this stops adding columns
+_RIDGE = 0.05  # mu: the penalty is mu * (matched-pair count) * ||W||_F^2
+# per matched pair: a column is solved to gradient max-norm 1e-6 * m, with
+# L-BFGS-B's relative-reduction test off, so that no column stops short of it
+_GTOL = 1e-6
 _PAIR_CAP = 2000
 
 
@@ -34,10 +35,10 @@ class TargetMetric:
     """Learned projection for one tracklet; distance(x) = ||W^T x||^2.
 
     ``initial_loss`` is the training loss before any column exists;
-    ``column_curves[k]`` holds column k's loss at its initialization and
-    after each accepted gradient step.  Within a column the curve is
-    non-increasing, and the per-column final losses are non-increasing
-    across columns."""
+    ``column_curves[k]`` holds column k's penalised total loss at its
+    initialization and after each L-BFGS-B iteration.  Within a column the
+    curve is non-increasing, and the per-column final losses are
+    non-increasing across columns."""
 
     tracklet_id: int
     W: np.ndarray  # (dim, r), columns pairwise orthogonal
@@ -128,15 +129,15 @@ def _negative_source_admissible(
     return True
 
 
-def _logistic_loss(a: np.ndarray, hinge: np.ndarray) -> tuple[float, np.ndarray]:
-    """(sum of log(1 + exp(a_k)), e) for margins ``a`` and their
-    ``hinge = max(a, 0)``: each term is summed as ``hinge + log1p(e)`` with
-    ``e = exp(-|a|)``, which ``_sigmoid`` takes on for the gradient."""
+def _logistic_loss(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum of log(1 + exp(a_k)), e) for margins ``a``: each term is summed
+    as ``max(a_k, 0) + log1p(e_k)`` with ``e = exp(-|a|)``, which
+    ``_sigmoid`` takes on for the gradient."""
     e = np.abs(a)
     np.negative(e, out=e)
     np.exp(e, out=e)
     terms = np.log1p(e)
-    terms += hinge
+    terms += np.maximum(a, 0.0)
     return float(terms.sum()), e
 
 
@@ -147,30 +148,26 @@ def _sigmoid(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
-    """Greedy orthogonal-column minimization of the summed logistic loss
+    """Greedy orthogonal-column minimization of the penalised logistic loss
 
         sum over matched (x_p, x_n) of log(1 + exp(||W^T x_p||^2 - ||W^T x_n||^2))
+            + mu * m * ||W||_F^2
 
     over a capped Cartesian pairing of the positive and negative
-    difference vectors.  Column k is initialized with the dominant
-    eigenvector of the pair-weighted second-moment difference, projected
-    onto the orthogonal complement of columns 1..k-1, then descended with
-    Armijo backtracking.  Column 0 is kept whatever its loss, even one
-    above the loss of the empty metric; each later column is kept only
-    when it lowers the loss by at least 1e-4 relative.  The first column
-    that falls short of that (column 0 included) is the last one tried,
-    and at most r_max are kept.  A column whose loss is not finite raises
-    ValueError.
-
-    Each loss term is summed as ``max(a_k, 0) + log1p(exp(-|a_k|))``, so one
-    ``exp`` per margin vector serves both the loss and the gradient's
-    sigmoid.  A backtracking candidate with pair margins ``a`` is rejected
-    without evaluating its loss when ``sum(max(a, 0))`` already exceeds the
-    Armijo threshold.  This cannot change a decision: ``log1p`` of a
-    non-negative number is non-negative, so every rounded term is at least
-    its ``max(a_k, 0)``, both sums run the same pairwise summation tree over
-    arrays of one length, and rounded addition is monotone, so the bound
-    never exceeds the exact loss.
+    difference vectors, with m the number of matched pairs and mu =
+    ``_RIDGE``.  Without the ridge term the loss has no minimiser on
+    separable pairs (scaling W up drives it toward 0); with it every
+    column is a well-posed problem, so W's scale is set by the data.
+    Column k is initialized with the dominant eigenvector of the
+    pair-weighted second-moment difference, projected onto the orthogonal
+    complement of columns 1..k-1, then solved by L-BFGS-B to a gradient
+    max-norm of 1e-6 * m, with its gradient projected onto that
+    complement.  Column 0 is kept whatever its loss, even one above the
+    loss of the empty metric; each later column is kept only when it
+    lowers the penalised total by at least 1e-4 relative.  The first
+    column that falls short of that (column 0 included) is the last one
+    tried, and at most r_max are kept.  A column whose loss is not finite
+    raises ValueError.
     """
     pos = np.asarray(pairs.positives, dtype=float)
     neg = np.asarray(pairs.negatives, dtype=float)
@@ -190,11 +187,12 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     dominant = np.linalg.eigh(init_matrix)[1][:, -1]
 
     r_max = min(n_d, 32)
+    ridge = _RIDGE * len(ip)
     cols: list[np.ndarray] = []
     base_p = np.zeros(n_p)
     base_n = np.zeros(n_n)
-    a = base_p[ip] - base_n[iN]
-    current_loss, _ = _logistic_loss(a, np.maximum(a, 0.0))
+    penalty = 0.0  # ridge * ||W||_F^2 of the kept columns
+    current_loss, _ = _logistic_loss(np.zeros(len(ip)))
     initial_loss = current_loss
     curves: list[tuple[float, ...]] = []
 
@@ -206,8 +204,9 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
         w = _init_column(dominant, basis)
         if w is None:
             break
-        col_curve: list[float] = []
-        w, col_loss = _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, col_curve)
+        w, col_loss, curve = _solve_column(
+            w, pos, neg, base_p, base_n, ip, iN, basis, ridge, penalty
+        )
         if not math.isfinite(col_loss):
             raise ValueError(f"tracklet {pairs.target_id}: metric loss became non-finite")
         improvement = (current_loss - col_loss) / max(abs(current_loss), 1e-12)
@@ -216,10 +215,11 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
         if basis is not None:
             w = w - basis @ (basis.T @ w)
         cols.append(w)
-        curves.append(tuple(col_curve))
+        curves.append(curve)
         current_loss = min(current_loss, col_loss)
         base_p += (pos @ w) ** 2
         base_n += (neg @ w) ** 2
+        penalty += ridge * float(w @ w)
         if improvement < _COLUMN_TOL:
             break
     return TargetMetric(
@@ -255,44 +255,35 @@ def _init_column(dominant: np.ndarray, basis: np.ndarray | None):
     return w
 
 
-def _descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve: list[float]):
-    def margins(vec):
+def _solve_column(w, pos, neg, base_p, base_n, ip, iN, basis, ridge, penalty):
+    """(w, final total, curve) of one column's L-BFGS-B solve from ``w``.
+    One function returns the penalised total and its gradient, projected
+    off ``basis``; the curve is the total at ``w`` and after each
+    iteration, read from the solver's own evaluations."""
+    curve: list[float] = []
+
+    def total_and_grad(vec):
         up = pos @ vec
         un = neg @ vec
-        return up, un, (base_p + up**2)[ip] - (base_n + un**2)[iN]
-
-    up, un, a = margins(w)
-    loss, e = _logistic_loss(a, np.maximum(a, 0.0))
-    curve.append(loss)
-    for _ in range(_MAX_INNER_STEPS):
+        a = (base_p + up**2)[ip] - (base_n + un**2)[iN]
+        loss, e = _logistic_loss(a)
         s = _sigmoid(a, e)
         coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
         coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
-        grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un))
+        grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un) + ridge * vec)
         if basis is not None:
-            grad = grad - basis @ (basis.T @ grad)
-        grad_sq = float(grad @ grad)
-        if grad_sq < 1e-18:
-            break
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            candidate = w - step * grad
-            c_up, c_un, c_a = margins(candidate)
-            threshold = loss - _ARMIJO_C * step * grad_sq
-            c_hinge = np.maximum(c_a, 0.0)
-            if float(c_hinge.sum()) <= threshold:
-                cand_loss, c_e = _logistic_loss(c_a, c_hinge)
-                if cand_loss <= threshold:
-                    break
-            step *= 0.5
-        else:
-            break
-        relative = (loss - cand_loss) / max(abs(loss), 1e-12)
-        w, up, un, a, e, loss = candidate, c_up, c_un, c_a, c_e, cand_loss
-        curve.append(loss)
-        if relative < _COLUMN_TOL:
-            break
-    return w, loss
+            grad -= basis @ (basis.T @ grad)
+        total = loss + penalty + ridge * float(vec @ vec)
+        if not curve:
+            curve.append(total)
+        return total, grad
+
+    result = minimize(
+        total_and_grad, w, jac=True, method="L-BFGS-B",
+        options={"gtol": _GTOL * len(ip), "ftol": 0.0},
+        callback=lambda intermediate_result: curve.append(float(intermediate_result.fun)),
+    )
+    return result.x, float(result.fun), tuple(curve)
 
 
 def identity_metric(tracklet_id: int, dim: int) -> TargetMetric:
@@ -323,24 +314,15 @@ def learn_segment_metrics(
     phase: str,
     cfg: RunConfig,
     exit_map: ExitMap | None = None,
-    executor: Executor | None = None,
 ) -> tuple[dict[int, TargetMetric], dict[int, PairSet]]:
     """Learn one metric per tracklet of a segment, falling back to the
-    identity metric when a tracklet has no admissible pairs.
-
-    Every pair set is built here first.  One target's descent reads
-    nothing of another's, so ``learn_metric`` is mapped over them through
-    ``executor.map`` when an executor is given and at least two targets
-    learn, and through the built-in ``map`` otherwise.  Results are keyed
-    in tracklet order, so the output does not depend on where each
-    descent ran."""
+    identity metric when a tracklet has no admissible pairs."""
     pairsets: dict[int, PairSet] = {}
     for t in tracklets:
         pairs = collect_pairs(t, tracklets, phase, cfg, exit_map=exit_map)
         if len(pairs.positives) and len(pairs.negatives):
             pairsets[t.id] = pairs
-    mapper = map if executor is None or len(pairsets) < 2 else executor.map
-    learned = dict(zip(pairsets, mapper(learn_metric, pairsets.values(), repeat(cfg))))
+    learned = {tid: learn_metric(pairs, cfg) for tid, pairs in pairsets.items()}
     metrics = {
         t.id: learned.get(t.id) or identity_metric(t.id, t.detections[0].feature.size)
         for t in tracklets
@@ -388,23 +370,19 @@ def refine_tracklets(
     cfg: RunConfig,
     exit_map: ExitMap | None = None,
     next_id: int | None = None,
-    executor: Executor | None = None,
 ) -> list[Tracklet]:
     """Split appearance-inconsistent tracklets in up to cfg.refine_iters
     passes; each pass learns initial-phase metrics on the current
     tracklets, measures each one's detections against its probe and
     takes its split threshold from the same pairsets.  Split parts
     shorter than 2 frames are dropped; splitting never merges tracklets
-    or adds detections.  ``executor`` is passed on to
-    ``learn_segment_metrics``.
+    or adds detections.
     """
     current = list(tracklets)
     if next_id is None:
         next_id = max((t.id for t in current), default=0) + 1
     for _ in range(cfg.refine_iters):
-        metrics, pairsets = learn_segment_metrics(
-            current, "initial", cfg, exit_map, executor=executor
-        )
+        metrics, pairsets = learn_segment_metrics(current, "initial", cfg, exit_map)
         omega = cfg.distance_threshold
         if omega is None:
             omega = split_threshold(metrics, pairsets)

@@ -255,17 +255,6 @@ def _convert_config_value(key: str, raw: str, path, lineno: int):
         raise ParseError(f"{path}:{lineno}: cannot parse {key}={raw!r}") from None
 
 
-def dump_config(cfg: RunConfig, path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for f in dataclasses.fields(RunConfig):
-            value = getattr(cfg, f.name)
-            if value is None:
-                value = "auto"
-            elif isinstance(value, float):
-                value = _fmt(value)
-            fh.write(f"{f.name}={value}\n")
-
-
 def result_view(trajectories: list[Trajectory]) -> dict[int, list[tuple[int, Box]]]:
     """In-memory equivalent of write + load_ground_truth on a result."""
     return {

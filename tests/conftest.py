@@ -1,10 +1,13 @@
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tracklink.model import Detection, Tracklet
+from tracklink.model import Detection, RunConfig, Tracklet
+from tracklink.mot_io import load_detections, load_ground_truth
 
 
 def make_tracklet(tid, start, centers=None, length=None, box_size=(10.0, 20.0),
@@ -57,10 +60,36 @@ def rng():
     return np.random.default_rng(7)
 
 
-requires_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+# the benchmark's scenes (bench/run.py WORKLOADS)
+_BENCH_SPECS = {
+    "appearance": dict(
+        n_frames=320, groups={"crossing": 4, "merge": 3, "bounce": 3}, life=100, grid=(3, 2),
+        scene_seed=1,
+    ),
+    "crowd": dict(
+        n_frames=50, groups={"crossing": 3, "merge": 2, "bounce": 2}, life=50, grid=(4, 2),
+        scene_seed=1,
+    ),
+}
 
 
-def fork_pool(workers=2):
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+def _bench_scenes():
+    """The benchmark's scene generator, bench/scenes.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("bench_scenes", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_scene(workload, index):
+    """Benchmark scene ``index`` (run seed 1), written and reloaded through
+    ``mot_io`` as bench/run.py does, as (detections, ground truth, cfg)."""
+    scenes = _bench_scenes()
+    cfg = RunConfig(frame_width=scenes.WIDTH, frame_height=scenes.HEIGHT)
+    scene = scenes.make_scene(scenes.SceneSpec(**_BENCH_SPECS[workload]), 1, index)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = scenes.write_scene(scene, Path(tmp))
+        detections = load_detections(paths["detections"], sidecar_path=paths["features"])
+        gt = load_ground_truth(paths["ground_truth"])
+    return detections, gt, cfg

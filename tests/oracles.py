@@ -3,9 +3,10 @@
 These deliberately share no code with the production solvers: the flow
 oracles enumerate node-disjoint path covers by exponential subset DP or
 solve a dense n x n assignment over link gains, the grid oracle scans
-unit directions.  The metric references keep the plain descent and pair
-loops that the production metric learning must match bit for bit, and
-the probe reference takes a max over (score, -frame) in place of the
+unit directions.  The metric references keep the plain pair loops that
+the production pair collection must match bit for bit and the
+penalised metric objective written with ``np.logaddexp``, and the probe
+reference takes a max over (score, -frame) in place of the
 sample sort; the motion reference keeps the three-SVD rank ratio built
 from tuples, the difficulty reference tests every pair of tracklets, and
 the initial tracklet reference runs the greedy extraction over the whole
@@ -27,15 +28,7 @@ from scipy.optimize import linear_sum_assignment
 
 from tracklink.evaluation import IOU_THRESHOLD, MOSTLY_LOST, MOSTLY_TRACKED, MetricReport
 from tracklink.flow import SINK, SOURCE, FlowGraph
-from tracklink.metric import (
-    _ARMIJO_C,
-    _COLUMN_TOL,
-    _MAX_HALVINGS,
-    _MAX_INNER_STEPS,
-    _PAIR_CAP,
-    _negative_source_admissible,
-    _strongest_samples,
-)
+from tracklink.metric import _negative_source_admissible, _strongest_samples
 from tracklink.model import Detection, RunConfig, Tracklet, iou
 from tracklink.tracklets import detection_cost
 
@@ -236,10 +229,9 @@ def grid_search_separating_direction(pos, neg, steps=360):
     return best
 
 
-# Reference metric learning: the plain descent (masked sigmoid, projections
-# recomputed every step, an eigendecomposition per column, every Armijo
-# candidate's exact loss) and loop-built training pairs.  The production
-# code must match them bit for bit, so keep this arithmetic as it is.
+# Reference metric learning: loop-built training pairs, which the production
+# code must match bit for bit, and the penalised objective that each
+# learned column must be stationary on.
 
 
 def reference_collect_pairs(target, others, phase, cfg, exit_map=None):
@@ -275,10 +267,6 @@ def reference_probe(t, cfg):
     return best.feature
 
 
-def reference_logistic_loss(a):
-    return float((np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))).sum())
-
-
 def reference_sigmoid(a):
     out = np.empty_like(a)
     mask = a >= 0
@@ -288,115 +276,13 @@ def reference_sigmoid(a):
     return out
 
 
-def reference_learn_metric(positives, negatives, rng_seed, target_id):
-    """(W, initial_loss, column_curves) of the plain descent: projections
-    recomputed every step, an eigendecomposition per column and every
-    candidate's exact loss."""
-    pos = np.asarray(positives, dtype=float)
-    neg = np.asarray(negatives, dtype=float)
-    n_p, n_d = pos.shape
-    n_n = neg.shape[0]
-    ip, iN = _reference_matched_pairs(n_p, n_n, rng_seed, target_id)
-    wp = np.bincount(ip, minlength=n_p).astype(float)
-    wn = np.bincount(iN, minlength=n_n).astype(float)
-    init_matrix = (neg * wn[:, None]).T @ neg - (pos * wp[:, None]).T @ pos
-
-    r_max = min(n_d, 32)
-    cols = []
-    base_p = np.zeros(n_p)
-    base_n = np.zeros(n_n)
-    current_loss = reference_logistic_loss(base_p[ip] - base_n[iN])
-    initial_loss = current_loss
-    curves = []
-    for k in range(r_max):
-        basis = None
-        if cols:
-            q = np.stack(cols, axis=1)
-            basis = q / np.linalg.norm(q, axis=0)
-        w = _reference_init_column(init_matrix, basis)
-        if w is None:
-            break
-        col_curve = []
-        w, col_loss = _reference_descend_column(
-            w, pos, neg, base_p, base_n, ip, iN, basis, col_curve
-        )
-        improvement = (current_loss - col_loss) / max(abs(current_loss), 1e-12)
-        if improvement < _COLUMN_TOL and k > 0:
-            break
-        if basis is not None:
-            w = w - basis @ (basis.T @ w)
-        cols.append(w)
-        curves.append(tuple(col_curve))
-        current_loss = min(current_loss, col_loss)
-        base_p += (pos @ w) ** 2
-        base_n += (neg @ w) ** 2
-        if improvement < _COLUMN_TOL:
-            break
-    return np.stack(cols, axis=1), initial_loss, tuple(curves)
-
-
-def _reference_matched_pairs(n_p, n_n, rng_seed, target_id):
-    total = n_p * n_n
-    if total <= _PAIR_CAP:
-        return np.repeat(np.arange(n_p), n_n), np.tile(np.arange(n_n), n_p)
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, target_id & 0x7FFFFFFF]))
-    flat = rng.choice(total, _PAIR_CAP, replace=False)
-    flat.sort()
-    return flat // n_n, flat % n_n
-
-
-def _reference_init_column(init_matrix, basis):
-    _, vecs = np.linalg.eigh(init_matrix)
-    w = vecs[:, -1].copy()
-    if basis is not None:
-        w = w - basis @ (basis.T @ w)
-    norm = np.linalg.norm(w)
-    if norm < 1e-10:
-        return None
-    w = w / norm
-    pivot = np.argmax(np.abs(w))
-    if w[pivot] < 0:
-        w = -w
-    return w
-
-
-def _reference_descend_column(w, pos, neg, base_p, base_n, ip, iN, basis, curve):
-    def loss_of(vec):
-        a = (base_p + (pos @ vec) ** 2)[ip] - (base_n + (neg @ vec) ** 2)[iN]
-        return reference_logistic_loss(a)
-
-    loss = loss_of(w)
-    curve.append(loss)
-    for _ in range(_MAX_INNER_STEPS):
-        up = pos @ w
-        un = neg @ w
-        a = (base_p + up**2)[ip] - (base_n + un**2)[iN]
-        s = reference_sigmoid(a)
-        coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
-        coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
-        grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un))
-        if basis is not None:
-            grad = grad - basis @ (basis.T @ grad)
-        grad_sq = float(grad @ grad)
-        if grad_sq < 1e-18:
-            break
-        step = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            candidate = w - step * grad
-            cand_loss = loss_of(candidate)
-            if cand_loss <= loss - _ARMIJO_C * step * grad_sq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        relative = (loss - cand_loss) / max(abs(loss), 1e-12)
-        w, loss = candidate, cand_loss
-        curve.append(loss)
-        if relative < _COLUMN_TOL:
-            break
-    return w, loss
+def penalised_metric_loss(W, positives, negatives, ip, iN, mu):
+    """sum over matched pairs (ip[k], iN[k]) of
+    log(1 + exp(||W^T x_p||^2 - ||W^T x_n||^2)) + mu * m * ||W||_F^2."""
+    dp = ((positives @ W) ** 2).sum(axis=1)
+    dn = ((negatives @ W) ** 2).sum(axis=1)
+    loss = np.logaddexp(0.0, dp[ip] - dn[iN]).sum()
+    return float(loss + mu * len(ip) * (W**2).sum())
 
 
 # Reference motion similarity: both own ranks and the joint rank from

@@ -1,11 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
-import os
-import subprocess
-import sys
-import textwrap
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +19,7 @@ from tracklink.flow import SINK, SOURCE, FlowGraphError, solve_paths
 from tracklink.model import Detection, RunConfig, gap_frames
 from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
 
-from conftest import make_tracklet, requires_fork
+from conftest import make_tracklet
 from oracles import reference_association_graph
 
 
@@ -272,15 +266,10 @@ def test_frame_offset_shifts_the_output(k):
 
 
 class TestValidation:
-    """Input the pipeline cannot use is rejected at its entry, before a
-    worker starts."""
+    """Input the pipeline cannot use is rejected at its entry."""
 
     @pytest.fixture
-    def detections(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started before validation")
-
-        monkeypatch.setattr(association, "ProcessPoolExecutor", refuse)
+    def detections(self):
         return generate_scenario(_four_targets(6))[0]
 
     @pytest.mark.parametrize("width", [8, 16, 32])
@@ -368,159 +357,3 @@ def test_no_reliable_metrics_learned_without_appearance(monkeypatch):
     assert phases and set(phases) == {"reliable"}
     assert repr(unread.tables) == repr(motion_only.tables)
     assert unread.trajectories == motion_only.trajectories
-
-
-def _fingerprint(state):
-    return (
-        [(t.id, t.start, t.end) for t in state.reliable_tracklets],
-        repr(state.tables),
-        repr(state.trajectories),
-    )
-
-
-def _track_in_worker(detections, cfg):
-    return _fingerprint(track_sequence(detections, cfg))
-
-
-class TestMetricPool:
-    """A run learns each segment's metrics in worker processes, one per
-    usable CPU; none outlives the run and the output never depends on
-    them."""
-
-    @staticmethod
-    def _cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    @requires_fork
-    def test_output_does_not_depend_on_worker_count(self, monkeypatch):
-        detections, _ = generate_scenario(_four_targets(6))
-        cfg = RunConfig(rng_seed=6)
-        default = track_sequence(detections, cfg)
-        opened = []
-        real = association.ProcessPoolExecutor
-        monkeypatch.setattr(
-            association,
-            "ProcessPoolExecutor",
-            lambda *args, **kwargs: opened.append(args) or real(*args, **kwargs),
-        )
-        self._cpus(monkeypatch, 3)
-        three = track_sequence(detections, cfg)
-        self._cpus(monkeypatch, 1)
-        one = track_sequence(detections, cfg)
-        assert opened == [(3,)]  # one pool of three workers; none on one CPU
-        assert _fingerprint(default) == _fingerprint(three) == _fingerprint(one)
-
-    @requires_fork
-    def test_no_worker_outlives_the_run(self, monkeypatch):
-        detections, _ = generate_scenario(_four_targets(7))
-        alive = []
-        learn = association.learn_segment_metrics
-
-        def counting(*args, **kwargs):
-            result = learn(*args, **kwargs)
-            alive.append(len(multiprocessing.active_children()))
-            return result
-
-        monkeypatch.setattr(association, "learn_segment_metrics", counting)
-        self._cpus(monkeypatch, 2)
-        track_sequence(detections, RunConfig())
-        assert alive and all(n == 2 for n in alive)
-        assert multiprocessing.active_children() == []
-
-    @requires_fork
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # finite features whose squared distances overflow make every
-        # descent's loss non-finite, which learn_metric rejects
-        detections, _ = generate_scenario(_four_targets(6))
-        huge = {
-            f: [dataclasses.replace(d, feature=d.feature * 1e155) for d in dets]
-            for f, dets in detections.items()
-        }
-        raised = {}
-        for cpus in (1, 2):
-            self._cpus(monkeypatch, cpus)
-            with pytest.raises(Exception) as info, np.errstate(over="ignore", invalid="ignore"):
-                track_sequence(huge, RunConfig())
-            raised[cpus] = info.value
-            assert multiprocessing.active_children() == []
-        assert isinstance(raised[1], ValueError)
-        assert "non-finite" in str(raised[1])
-        assert type(raised[2]) is type(raised[1])
-        assert str(raised[2]) == str(raised[1])
-        assert type(raised[2].__cause__).__name__ == "_RemoteTraceback"
-
-    def test_featureless_scene_starts_no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a scene without features built a process pool")
-
-        detections, _ = generate_scenario(_four_targets(6))
-        bare = {
-            f: [dataclasses.replace(d, feature=None) for d in dets]
-            for f, dets in detections.items()
-        }
-        monkeypatch.setattr(association, "ProcessPoolExecutor", refuse)
-        self._cpus(monkeypatch, 4)
-        assert track_sequence(bare, RunConfig()).trajectories
-
-    def test_threaded_caller_learns_in_process(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process with other threads built a fork pool")
-
-        detections, _ = generate_scenario(_four_targets(6))
-        cfg = RunConfig(rng_seed=6)
-        expected = _fingerprint(track_sequence(detections, cfg))
-        monkeypatch.setattr(association, "ProcessPoolExecutor", refuse)
-        self._cpus(monkeypatch, 2)
-        release = threading.Event()
-        waiting = threading.Thread(target=release.wait, args=(60,))
-        waiting.start()
-        try:
-            assert _fingerprint(track_sequence(detections, cfg)) == expected
-        finally:
-            release.set()
-            waiting.join(timeout=60)
-        assert not waiting.is_alive()
-
-    @requires_fork
-    def test_daemonic_caller_learns_in_process(self, monkeypatch):
-        # a multiprocessing.Pool worker may not start processes of its own
-        detections, _ = generate_scenario(_four_targets(8))
-        cfg = RunConfig(rng_seed=8)
-        self._cpus(monkeypatch, 2)
-        with multiprocessing.get_context("fork").Pool(1) as outer:
-            in_worker = outer.apply(_track_in_worker, (detections, cfg))
-        assert in_worker == _fingerprint(track_sequence(detections, cfg))
-
-    @requires_fork
-    def test_script_without_main_guard_runs(self, tmp_path):
-        # spawned or forkserver workers would re-run such a script on import
-        # and fail while it bootstraps; forked workers never import it
-        script = tmp_path / "track_once.py"
-        script.write_text(textwrap.dedent("""
-            import os
-            import sys
-
-            from tracklink.association import track_sequence
-            from tracklink.model import RunConfig
-            from tracklink.synth import OcclusionSpec, ScenarioSpec, TargetSpec, generate_scenario
-
-            os.sched_getaffinity = lambda pid: {0, 1}
-            spec = ScenarioSpec(
-                n_frames=60,
-                targets=(
-                    TargetSpec(id=1, start=1, end=60, box=(60.0, 200.0, 16.0, 32.0),
-                               velocity=(6.0, 0.5)),
-                    TargetSpec(id=2, start=1, end=60, box=(480.0, 230.0, 16.0, 32.0),
-                               velocity=(-6.0, -0.5)),
-                ),
-                occlusions=(OcclusionSpec(targets=(1, 2), frames=(31, 36)),),
-                seed=3,
-            )
-            detections, _ = generate_scenario(spec)
-            print(len(track_sequence(detections, RunConfig()).trajectories))
-        """), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "2"

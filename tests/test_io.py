@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from tracklink.model import RunConfig, Trajectory
+from tracklink.model import Trajectory
 from tracklink.mot_io import (
     ParseError,
-    dump_config,
     load_config,
     load_detections,
     load_ground_truth,
@@ -283,9 +282,3 @@ class TestConfig:
     def test_values_that_break_the_run_rejected(self, tmp_path, text, name):
         with pytest.raises(ParseError, match=f"invalid configuration: .*{name}"):
             load_config(write(tmp_path, "c.cfg", text))
-
-    def test_dump_round_trip(self, tmp_path):
-        cfg = RunConfig(segment_len=30, probe_window=5, rng_seed=9)
-        path = tmp_path / "c.cfg"
-        dump_config(cfg, path)
-        assert load_config(path) == cfg
