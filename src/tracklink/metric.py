@@ -5,11 +5,15 @@ absolute feature-difference vectors: positives from same-tracklet sample
 pairs, negatives from other tracklets passing the spatio-temporal /
 exit relevance constraints.  W is built one orthogonal column at a time;
 each column minimises a summed logistic relative-distance loss plus a
-ridge penalty on W, solved by L-BFGS-B to a gradient tolerance.  The
-learned metrics then refine the tracklets: a run of ``split_run``
-consecutive frames too far from the tracklet's probe splits it.  The
-probe is the tracklet's first strongest sample: the rule that picks the
-samples a tracklet learns from also picks its appearance anchor.
+ridge penalty on W, solved by L-BFGS-B to a gradient tolerance.  Columns
+stop once a curvature test at w = 0 proves that no further column can
+lower the total: along any ray t * w the total is convex in u = t^2,
+with slope w^T H w at u = 0, so a positive definite H makes w = 0 the
+column's minimum and its solve is skipped.  The learned metrics then
+refine the tracklets: a run of ``split_run`` consecutive frames too far
+from the tracklet's probe splits it.  The probe is the tracklet's first
+strongest sample: the rule that picks the samples a tracklet learns from
+also picks its appearance anchor.
 """
 
 from __future__ import annotations
@@ -168,6 +172,18 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     column that falls short of that (column 0 included) is the last one
     tried, and at most r_max are kept.  A column whose loss is not finite
     raises ValueError.
+
+    Before each column after the first, ``_zero_column_optimal`` stops
+    adding columns without a solve when w = 0 is provably the column's
+    minimum.  Along a ray t * w in the complement, with u = t^2, the
+    column's total is sum_k softplus(c_k + u * d_k) + mu * m * u * ||w||^2,
+    with c_k the current margins and d_k = (x_p . w)^2 - (x_n . w)^2.
+    That is convex in u, with slope w^T H w at u = 0, where
+    H = P^T diag(s_p) P - N^T diag(s_n) N + mu * m * I and s_p, s_n are
+    the per-row sums of the current margins' sigmoids.  When H is
+    positive definite on the complement, no column lowers the total, and
+    the solve would have been rejected.  Rejected columns leave no trace
+    in the metric, so skipping them changes no bit of it.
     """
     pos = np.asarray(pairs.positives, dtype=float)
     neg = np.asarray(pairs.negatives, dtype=float)
@@ -201,6 +217,8 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
         if cols:
             q = np.stack(cols, axis=1)
             basis = q / np.linalg.norm(q, axis=0)
+            if _zero_column_optimal(pos, neg, base_p, base_n, ip, iN, basis, ridge):
+                break
         w = _init_column(dominant, basis)
         if w is None:
             break
@@ -253,6 +271,29 @@ def _init_column(dominant: np.ndarray, basis: np.ndarray | None):
     if w[pivot] < 0:
         w = -w
     return w
+
+
+def _zero_column_optimal(pos, neg, base_p, base_n, ip, iN, basis, ridge) -> bool:
+    """True when w = 0 is the global minimum of the next column's problem:
+    H, the sigmoid-weighted second-moment difference at the current
+    margins plus ridge * I, is positive definite on the complement of
+    ``basis`` (the argument is in ``learn_metric``).  The basis directions
+    get ridge * I, so the tested matrix is positive definite exactly when
+    H is on the complement."""
+    a = base_p[ip] - base_n[iN]
+    s = _sigmoid(a, np.exp(-np.abs(a)))
+    coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
+    coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
+    moments = (pos * coef_p[:, None]).T @ pos - (neg * coef_n[:, None]).T @ neg
+    off_basis = np.eye(len(basis)) - basis @ basis.T
+    curvature = off_basis @ moments @ off_basis + ridge * np.eye(len(basis))
+    if not np.all(np.isfinite(curvature)):
+        return False  # left to the solve, which reports a non-finite loss
+    try:
+        np.linalg.cholesky(curvature)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _solve_column(w, pos, neg, base_p, base_n, ip, iN, basis, ridge, penalty):
@@ -335,15 +376,13 @@ def split_threshold(
 ) -> float:
     """Segment-level refinement threshold: median positive-pair distance
     plus three times the interquartile range."""
-    dists = []
-    for tid, pairs in pairsets.items():
-        metric = metrics[tid]
-        proj = pairs.positives @ metric.W
-        dists.extend(np.sum(proj**2, axis=1).tolist())
-    if not dists:
+    dists = np.concatenate(
+        [np.sum((pairs.positives @ metrics[tid].W) ** 2, axis=1) for tid, pairs in pairsets.items()]
+        or [np.empty(0)]
+    )
+    if not dists.size:
         return math.inf
-    arr = np.asarray(dists)
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    q1, med, q3 = np.percentile(dists, [25.0, 50.0, 75.0])
     return float(med + 3.0 * (q3 - q1))
 
 

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tracklink.metric as metric_module
 from tracklink.metric import (
     _PAIR_CAP,
     PairSet,
+    TargetMetric,
     collect_pairs,
     identity_metric,
     learn_metric,
@@ -16,10 +18,12 @@ from tracklink.metric import (
     metric_distance,
     probe,
     refine_tracklets,
+    split_threshold,
 )
+from tracklink.association import track_sequence
 from tracklink.model import ExitMap, RunConfig
 
-from conftest import cluster_features, make_tracklet, two_cluster_centers
+from conftest import bench_scene, cluster_features, make_tracklet, two_cluster_centers
 from oracles import (
     penalised_metric_loss,
     reference_collect_pairs,
@@ -186,6 +190,34 @@ class TestLearnMetric:
             learn_metric(PairSet(1, pos, neg), RunConfig())
 
 
+def _cluster_pairs(rng, n_p, n_n, noise, target_ids=(1,)):
+    cA, cB = two_cluster_centers(rng)
+    pos = np.abs(rng.normal(0, noise, (n_p, 32)))
+    neg = np.abs((cA - cB) + rng.normal(0, noise, (n_n, 32)))
+    return [PairSet(target_id, pos, neg) for target_id in target_ids]
+
+
+def _identical_sides(rng):
+    vecs = np.abs(rng.normal(0, 1.0, (6, 8)))
+    return [PairSet(1, vecs, vecs.copy())]
+
+
+def _separable_2d_toy(rng):
+    pos = np.column_stack([np.abs(rng.normal(0, 1, 40)), np.full(40, 1e-3)])
+    neg = np.column_stack([np.full(40, 1e-3), np.abs(rng.normal(2, 0.5, 40))])
+    return [PairSet(1, pos, neg)]
+
+
+# the pair sets TestOptimality learns on, each drawn from the given rng
+_OPTIMALITY_PAIR_SETS = {
+    "full_cartesian": lambda rng: _cluster_pairs(rng, 6, 20, 1.4),
+    "capped_sampled": lambda rng: _cluster_pairs(rng, 6, 400, 1.4, target_ids=(1, 2, 3)),
+    "identical_sides": _identical_sides,
+    "later_columns": lambda rng: _cluster_pairs(rng, 10, 200, 6.0),
+    "separable_2d_toy": _separable_2d_toy,
+}
+
+
 class TestOptimality:
     """Every kept column is a stationary point of the penalised objective
     on its own: the gradient with respect to column k, with the earlier
@@ -194,9 +226,10 @@ class TestOptimality:
     ``oracles.penalised_metric_loss``, not from ``metric``'s own formula."""
 
     @staticmethod
-    def _assert_stationary(pos, neg, target_id=1, cfg=RunConfig()):
-        metric = learn_metric(PairSet(target_id, pos, neg), cfg)
-        ip, iN = metric_module._matched_pairs(len(pos), len(neg), cfg.rng_seed, target_id)
+    def _assert_stationary(pairs, cfg=RunConfig()):
+        metric = learn_metric(pairs, cfg)
+        pos, neg = pairs.positives, pairs.negatives
+        ip, iN = metric_module._matched_pairs(len(pos), len(neg), cfg.rng_seed, pairs.target_id)
         gtol = metric_module._GTOL * len(ip)
         h = 1e-6
         for k in range(metric.rank):
@@ -216,39 +249,170 @@ class TestOptimality:
             assert np.max(np.abs(grad)) <= 1.01 * gtol
         return metric
 
-    @staticmethod
-    def _cluster_pairs(rng, n_p, n_n, noise):
-        cA, cB = two_cluster_centers(rng)
-        pos = np.abs(rng.normal(0, noise, (n_p, 32)))
-        neg = np.abs((cA - cB) + rng.normal(0, noise, (n_n, 32)))
-        return pos, neg
-
     def test_full_cartesian_pairing(self, rng):
-        pos, neg = self._cluster_pairs(rng, 6, 20, 1.4)
-        self._assert_stationary(pos, neg)
+        for pairs in _OPTIMALITY_PAIR_SETS["full_cartesian"](rng):
+            self._assert_stationary(pairs)
 
     def test_capped_sampled_pairing(self, rng):
-        pos, neg = self._cluster_pairs(rng, 6, 400, 1.4)
-        assert len(pos) * len(neg) > _PAIR_CAP
-        for target_id in (1, 2, 3):
-            self._assert_stationary(pos, neg, target_id=target_id)
+        for pairs in _OPTIMALITY_PAIR_SETS["capped_sampled"](rng):
+            assert len(pairs.positives) * len(pairs.negatives) > _PAIR_CAP
+            self._assert_stationary(pairs)
 
     def test_identical_sides(self, rng):
-        vecs = np.abs(rng.normal(0, 1.0, (6, 8)))
-        self._assert_stationary(vecs, vecs.copy())
+        for pairs in _OPTIMALITY_PAIR_SETS["identical_sides"](rng):
+            self._assert_stationary(pairs)
 
     def test_later_columns(self, rng):
         # noisy pairs keep several columns, each solved off the earlier ones
-        pos, neg = self._cluster_pairs(rng, 10, 200, 6.0)
-        assert self._assert_stationary(pos, neg).rank >= 2
+        for pairs in _OPTIMALITY_PAIR_SETS["later_columns"](rng):
+            assert self._assert_stationary(pairs).rank >= 2
 
     def test_separable_2d_toy(self, rng):
-        pos = np.column_stack([np.abs(rng.normal(0, 1, 40)), np.full(40, 1e-3)])
-        neg = np.column_stack([np.full(40, 1e-3), np.abs(rng.normal(2, 0.5, 40))])
-        metric = self._assert_stationary(pos, neg)
-        # the ridge term bounds W: the separable pairs no longer push its
-        # scale up without end
-        assert 0.0 < np.linalg.norm(metric.W) < 10.0
+        for pairs in _OPTIMALITY_PAIR_SETS["separable_2d_toy"](rng):
+            metric = self._assert_stationary(pairs)
+            # the ridge term bounds W: the separable pairs no longer push its
+            # scale up without end
+            assert 0.0 < np.linalg.norm(metric.W) < 10.0
+
+
+class TestZeroColumnTest:
+    """``metric._zero_column_optimal`` certifies that w = 0 minimises the
+    next column's problem, so ``learn_metric`` skips a solve that would be
+    rejected.  When it fires, no ray in the complement of the kept columns
+    and no solve lowers the total; skipping changes no metric."""
+
+    @settings(max_examples=200, deadline=None)
+    # negatives far shorter than the positives: the test fires
+    @example(seed=0, n_d=4, n_p=5, n_n=6, rank=2, neg_scale=0.05)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_d=st.integers(1, 6),
+        n_p=st.integers(1, 8),
+        n_n=st.integers(1, 12),
+        rank=st.integers(0, 4),
+        neg_scale=st.floats(0.05, 3.0),
+    )
+    def test_certified_column_cannot_help(self, seed, n_d, n_p, n_n, rank, neg_scale):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n_d - 1)
+        pos = np.abs(rng.normal(0, 1.0, (n_p, n_d)))
+        neg = np.abs(rng.normal(0, neg_scale, (n_n, n_d)))
+        basis = np.linalg.qr(rng.normal(size=(n_d, n_d)))[0][:, :rank]
+        kept = basis * rng.uniform(0.0, 2.0, rank)  # the columns the bases come from
+        base_p = ((pos @ kept) ** 2).sum(axis=1)
+        base_n = ((neg @ kept) ** 2).sum(axis=1)
+        ip, iN = metric_module._matched_pairs(n_p, n_n, 0, 1)
+        ridge = metric_module._RIDGE * len(ip)
+        if not metric_module._zero_column_optimal(pos, neg, base_p, base_n, ip, iN, basis, ridge):
+            return
+        at_zero = penalised_metric_loss(kept, pos, neg, ip, iN, metric_module._RIDGE)
+        for _ in range(5):
+            w = rng.normal(size=n_d)
+            w -= basis @ (basis.T @ w)
+            w /= np.linalg.norm(w)
+            for t in (1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0):
+                ray = penalised_metric_loss(
+                    np.column_stack([kept, t * w]), pos, neg, ip, iN, metric_module._RIDGE
+                )
+                # rounding of the m summed terms only
+                assert ray >= at_zero - 1e-12 * abs(at_zero), t
+            _, col_loss, _ = metric_module._solve_column(
+                w, pos, neg, base_p, base_n, ip, iN, basis if rank else None, ridge,
+                ridge * float((kept**2).sum()),
+            )
+            assert (at_zero - col_loss) / max(abs(at_zero), 1e-12) < metric_module._COLUMN_TOL
+
+    @pytest.mark.parametrize("workload, index", [("crowd", 1), ("appearance", 0)])
+    def test_skipping_changes_no_bench_metric(
+        self, workload, index, tracked_learn_calls, monkeypatch
+    ):
+        calls = tracked_learn_calls(workload, index)
+        _assert_skipping_changes_nothing(
+            [(call.pairs, call.cfg) for call in calls], [call.metric for call in calls], monkeypatch
+        )
+
+    @pytest.mark.parametrize("case", sorted(_OPTIMALITY_PAIR_SETS))
+    def test_skipping_changes_no_optimality_metric(self, case, rng, monkeypatch):
+        pairsets = [(pairs, RunConfig()) for pairs in _OPTIMALITY_PAIR_SETS[case](rng)]
+        _assert_skipping_changes_nothing(
+            pairsets, [learn_metric(pairs, cfg) for pairs, cfg in pairsets], monkeypatch
+        )
+
+    def test_crowd_solves_kept_columns_and_uncertified_stops_only(self, tracked_learn_calls):
+        calls = tracked_learn_calls("crowd", 1)
+        solves = sum(call.solves for call in calls)
+        kept = sum(call.metric.rank for call in calls)
+        uncertified = sum(not call.certified for call in calls)
+        assert solves <= kept + uncertified
+        # without the test every metric ends on one rejected solve
+        assert solves - kept <= len(calls) // 10
+
+
+@dataclasses.dataclass
+class _LearnCall:
+    pairs: PairSet
+    cfg: RunConfig
+    metric: TargetMetric | None = None
+    solves: int = 0
+    certified: bool = False
+
+
+@pytest.fixture(scope="module")
+def tracked_learn_calls():
+    """``_track_and_record`` of each benchmark scene, tracked once per module."""
+    calls = {}
+
+    def get(workload, index):
+        if (workload, index) not in calls:
+            calls[workload, index] = _track_and_record(workload, index)
+        return calls[workload, index]
+
+    return get
+
+
+def _track_and_record(workload, index):
+    """Every ``learn_metric`` call ``track_sequence`` makes on a benchmark
+    scene: its pair set, its metric, the column solves it ran and whether
+    the zero-column test fired."""
+    calls = []
+    learn = metric_module.learn_metric
+    solve = metric_module._solve_column
+    certify = metric_module._zero_column_optimal
+
+    def recording_learn(pairs, cfg):
+        calls.append(_LearnCall(pairs, cfg))
+        calls[-1].metric = learn(pairs, cfg)
+        return calls[-1].metric
+
+    def counting_solve(*args):
+        calls[-1].solves += 1
+        return solve(*args)
+
+    def recording_certify(*args):
+        fired = certify(*args)
+        calls[-1].certified |= fired
+        return fired
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_module, "learn_metric", recording_learn)
+        mp.setattr(metric_module, "_solve_column", counting_solve)
+        mp.setattr(metric_module, "_zero_column_optimal", recording_certify)
+        detections, _, cfg = bench_scene(workload, index)
+        track_sequence(detections, cfg)
+    assert calls
+    return tuple(calls)
+
+
+def _assert_skipping_changes_nothing(pairsets, metrics, monkeypatch):
+    """``learn_metric`` with the zero-column test forced off (every column
+    solved, the last one rejected) gives ``metrics`` bit for bit."""
+    monkeypatch.setattr(metric_module, "_zero_column_optimal", lambda *args: False)
+    for (pairs, cfg), metric in zip(pairsets, metrics, strict=True):
+        unskipped = learn_metric(pairs, cfg)
+        assert unskipped.W.shape == metric.W.shape
+        assert unskipped.W.tobytes() == metric.W.tobytes()
+        assert unskipped.initial_loss == metric.initial_loss
+        assert unskipped.column_curves == metric.column_curves
 
 
 _EDGE_VALUES = [0.0, -0.0, 1e3, -1e3, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]
@@ -402,6 +566,20 @@ class TestRefinement:
         assert any(abs(s - swap_at) <= 5 for s in starts)
         total = sum(t.length for t in out)
         assert total <= 60  # never gains detections
+
+    def test_split_threshold_pools_positive_distances_in_order(self, rng):
+        cA, cB = two_cluster_centers(rng)
+        tracklets = [
+            feature_tracklet(tid, 1, 12, cA if tid % 2 else cB, rng, x0=60.0 * tid)
+            for tid in range(1, 5)
+        ]
+        metrics, pairsets = learn_segment_metrics(tracklets, "initial", RunConfig())
+        pooled = []
+        for tid, pairs in pairsets.items():
+            pooled.extend(np.sum((pairs.positives @ metrics[tid].W) ** 2, axis=1).tolist())
+        q1, med, q3 = np.percentile(np.asarray(pooled), [25.0, 50.0, 75.0])
+        assert split_threshold(metrics, pairsets) == float(med + 3.0 * (q3 - q1))
+        assert split_threshold({}, {}) == math.inf
 
     def test_clean_pair_not_split(self, rng):
         cfg = RunConfig()
