@@ -5,15 +5,17 @@ absolute feature-difference vectors: positives from same-tracklet sample
 pairs, negatives from other tracklets passing the spatio-temporal /
 exit relevance constraints.  W is built one orthogonal column at a time;
 each column minimises a summed logistic relative-distance loss plus a
-ridge penalty on W, solved by L-BFGS-B to a gradient tolerance.  Columns
-stop once a curvature test at w = 0 proves that no further column can
-lower the total: along any ray t * w the total is convex in u = t^2,
-with slope w^T H w at u = 0, so a positive definite H makes w = 0 the
-column's minimum and its solve is skipped.  The learned metrics then
-refine the tracklets: a run of ``split_run`` consecutive frames too far
-from the tracklet's probe splits it.  The probe is the tracklet's first
-strongest sample: the rule that picks the samples a tracklet learns from
-also picks its appearance anchor.
+ridge penalty on W, solved to a gradient tolerance by damped Newton
+steps on the column's d x d Hessian (d <= 32, the feature size).
+Columns stop once the same Hessian at w = 0 has a Cholesky factor, which
+proves that no further column can lower the total: along any ray t * w
+the total is convex in u = t^2, with slope w^T H w / 2 at u = 0, so a
+positive definite Hessian makes w = 0 the column's minimum and its solve
+is skipped.  The learned metrics then refine the tracklets: a run of
+``split_run`` consecutive frames too far from the tracklet's probe
+splits it.  The probe is the tracklet's first strongest sample: the rule
+that picks the samples a tracklet learns from also picks its appearance
+anchor.
 """
 
 from __future__ import annotations
@@ -22,15 +24,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from tracklink.model import Detection, ExitMap, RunConfig, Tracklet
 
 _COLUMN_TOL = 1e-4  # relative fall of the penalised total below this stops adding columns
 _RIDGE = 0.05  # mu: the penalty is mu * (matched-pair count) * ||W||_F^2
-# per matched pair: a column is solved to gradient max-norm 1e-6 * m, with
-# L-BFGS-B's relative-reduction test off, so that no column stops short of it
+# per matched pair: a column's damped Newton solve runs to gradient
+# max-norm 1e-6 * m, with no test on the fall of the total, so that no
+# column stops short of it
 _GTOL = 1e-6
+_MAX_NEWTON_STEPS = 100  # bounds a solve; columns take about 6 steps
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking
+_MAX_HALVINGS = 50  # a step below 2^-50 of Newton's lowers nothing above rounding
+_MAX_SHIFTS = 12  # Levenberg shifts tried; the last is at least ||H||_F
+_SCALE_STEPS = 4  # Newton steps of the scale search along the start ray
+# the scale search shrinks the start by at most half: where the ray's
+# minimum lies at u = 0, an unfloored search parks the start next to the
+# saddle at w = 0
+_SCALE_FLOOR = 0.25
 _PAIR_CAP = 2000
 
 
@@ -40,9 +52,9 @@ class TargetMetric:
 
     ``initial_loss`` is the training loss before any column exists;
     ``column_curves[k]`` holds column k's penalised total loss at its
-    initialization and after each L-BFGS-B iteration.  Within a column the
-    curve is non-increasing, and the per-column final losses are
-    non-increasing across columns."""
+    start (the initial column, rescaled along its ray) and after each
+    damped Newton step.  Within a column the curve is non-increasing, and
+    the per-column final losses are non-increasing across columns."""
 
     tracklet_id: int
     W: np.ndarray  # (dim, r), columns pairwise orthogonal
@@ -164,14 +176,15 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     column is a well-posed problem, so W's scale is set by the data.
     Column k is initialized with the dominant eigenvector of the
     pair-weighted second-moment difference, projected onto the orthogonal
-    complement of columns 1..k-1, then solved by L-BFGS-B to a gradient
-    max-norm of 1e-6 * m, with its gradient projected onto that
-    complement.  Column 0 is kept whatever its loss, even one above the
-    loss of the empty metric; each later column is kept only when it
-    lowers the penalised total by at least 1e-4 relative.  The first
-    column that falls short of that (column 0 included) is the last one
-    tried, and at most r_max are kept.  A column whose loss is not finite
-    raises ValueError.
+    complement of columns 1..k-1 and rescaled toward the minimum along its
+    ray, then solved by damped Newton steps (``_solve_column``) to a
+    gradient max-norm of 1e-6 * m, with its gradient and Hessian
+    projected onto that complement.  Column 0 is kept whatever its loss,
+    even one above the loss of the empty metric; each later column is
+    kept only when it lowers the penalised total by at least 1e-4
+    relative.  The first column that falls short of that (column 0
+    included) is the last one tried, and at most r_max are kept.  A
+    column whose loss or Hessian is not finite raises ValueError.
 
     Before each column after the first, ``_zero_column_optimal`` stops
     adding columns without a solve when w = 0 is provably the column's
@@ -180,10 +193,11 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     with c_k the current margins and d_k = (x_p . w)^2 - (x_n . w)^2.
     That is convex in u, with slope w^T H w at u = 0, where
     H = P^T diag(s_p) P - N^T diag(s_n) N + mu * m * I and s_p, s_n are
-    the per-row sums of the current margins' sigmoids.  When H is
-    positive definite on the complement, no column lowers the total, and
-    the solve would have been rejected.  Rejected columns leave no trace
-    in the metric, so skipping them changes no bit of it.
+    the per-row sums of the current margins' sigmoids; 2 H is the column
+    Hessian at w = 0 (``_column_hessian``).  When H is positive definite
+    on the complement, no column lowers the total, and the solve would
+    have been rejected.  Rejected columns leave no trace in the metric,
+    so skipping them changes no bit of it.
     """
     pos = np.asarray(pairs.positives, dtype=float)
     neg = np.asarray(pairs.negatives, dtype=float)
@@ -275,56 +289,135 @@ def _init_column(dominant: np.ndarray, basis: np.ndarray | None):
 
 def _zero_column_optimal(pos, neg, base_p, base_n, ip, iN, basis, ridge) -> bool:
     """True when w = 0 is the global minimum of the next column's problem:
-    H, the sigmoid-weighted second-moment difference at the current
-    margins plus ridge * I, is positive definite on the complement of
-    ``basis`` (the argument is in ``learn_metric``).  The basis directions
-    get ridge * I, so the tested matrix is positive definite exactly when
-    H is on the complement."""
+    the column Hessian at w = 0, twice the sigmoid-weighted second-moment
+    difference at the current margins plus 2 * ridge * I, is positive
+    definite on the complement of ``basis`` (the argument is in
+    ``learn_metric``)."""
     a = base_p[ip] - base_n[iN]
     s = _sigmoid(a, np.exp(-np.abs(a)))
-    coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
-    coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
-    moments = (pos * coef_p[:, None]).T @ pos - (neg * coef_n[:, None]).T @ neg
-    off_basis = np.eye(len(basis)) - basis @ basis.T
-    curvature = off_basis @ moments @ off_basis + ridge * np.eye(len(basis))
-    if not np.all(np.isfinite(curvature)):
-        return False  # left to the solve, which reports a non-finite loss
-    try:
-        np.linalg.cholesky(curvature)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    curvature = _column_hessian(
+        pos, neg, np.zeros(len(pos)), np.zeros(len(neg)), s, ip, iN, basis, ridge
+    )
+    # a non-finite H is left to the solve, which reports a non-finite loss
+    return bool(np.isfinite(curvature).all()) and _cholesky(curvature) is not None
+
+
+def _column_hessian(pos, neg, up, un, s, ip, iN, basis, ridge):
+    """Hessian in w of the column's penalised total at projections ``up``
+    = P w, ``un`` = N w and margin sigmoids ``s``:
+
+        P^T diag(4 dp up^2 + 2 cp) P + N^T diag(4 dn un^2 - 2 cn) N
+            - 4 (X + X^T) + 2 ridge I,
+
+    with cp, cn (dp, dn) the per-row sums of s (of s (1 - s)) over the
+    matched pairs and X = (P o up)^T C (N o un), C[i, j] the s (1 - s) of
+    pair (i, j).  The data terms are projected onto the complement of
+    ``basis``; the basis directions get 2 * ridge * I."""
+    n_p, n_n = len(pos), len(neg)
+    ds = s * (1.0 - s)
+    coef_p = 4.0 * np.bincount(ip, weights=ds, minlength=n_p) * up**2
+    coef_p += 2.0 * np.bincount(ip, weights=s, minlength=n_p)
+    coef_n = 4.0 * np.bincount(iN, weights=ds, minlength=n_n) * un**2
+    coef_n -= 2.0 * np.bincount(iN, weights=s, minlength=n_n)
+    pair_ds = np.bincount(ip * n_n + iN, weights=ds, minlength=n_p * n_n).reshape(n_p, n_n)
+    cross = (pos.T * up) @ ((pair_ds * un) @ neg)
+    hess = (pos.T * coef_p) @ pos + (neg.T * coef_n) @ neg
+    hess -= 4.0 * (cross + cross.T)
+    if basis is not None:
+        off_basis = np.eye(len(basis)) - basis @ basis.T
+        hess = off_basis @ hess @ off_basis
+    hess += np.eye(len(hess)) * (2.0 * ridge)
+    return hess
+
+
+def _cholesky(matrix):
+    """Lower Cholesky factor of a finite symmetric matrix, or None when
+    the matrix is not positive definite."""
+    lower, info = dpotrf(matrix, lower=1)
+    return lower if info == 0 else None
+
+
+def _newton_step(hess, grad):
+    """-(H + tau I)^-1 grad for the first tau in 0, 1e-3 ||H||_F, 2e-3
+    ||H||_F, 4e-3 ||H||_F, ... for which H + tau I has a Cholesky factor.
+    ||H||_F bounds every eigenvalue's magnitude, so the last of the
+    ``_MAX_SHIFTS`` shifts, 1.024 ||H||_F, always has one for a finite H."""
+    shifted = hess.copy()
+    scale = 1e-3 * float(np.linalg.norm(hess))
+    for k in range(_MAX_SHIFTS):
+        lower = _cholesky(shifted)
+        if lower is not None:
+            return -dpotrs(lower, grad, lower=1)[0]
+        np.fill_diagonal(shifted, hess.diagonal() + scale * 2.0**k)
+    return -grad  # not reached for a finite H
+
+
+def _scale_start(w, pos, neg, base_p, base_n, ip, iN, ridge):
+    """w rescaled to t * w by at most ``_SCALE_STEPS`` Newton steps on the
+    column's total along its ray, a convex function of u = t^2 (see
+    ``learn_metric``), with u kept at or above ``_SCALE_FLOOR``."""
+    c = base_p[ip] - base_n[iN]
+    d = ((pos @ w) ** 2)[ip] - ((neg @ w) ** 2)[iN]
+    u = 1.0
+    for _ in range(_SCALE_STEPS):
+        a = c + u * d
+        s = _sigmoid(a, np.exp(-np.abs(a)))
+        curvature = float((s * (1.0 - s)) @ (d * d))
+        if not curvature > 0.0:  # flat, or not finite
+            break
+        u = max(_SCALE_FLOOR, u - (float(s @ d) + ridge * float(w @ w)) / curvature)
+    return math.sqrt(u) * w
 
 
 def _solve_column(w, pos, neg, base_p, base_n, ip, iN, basis, ridge, penalty):
-    """(w, final total, curve) of one column's L-BFGS-B solve from ``w``.
-    One function returns the penalised total and its gradient, projected
-    off ``basis``; the curve is the total at ``w`` and after each
-    iteration, read from the solver's own evaluations."""
-    curve: list[float] = []
+    """(w, final total, curve) of one column's damped Newton solve from
+    ``w``, first rescaled along its ray by ``_scale_start``.  Each step
+    solves the column Hessian, shifted until it has a Cholesky factor,
+    against the gradient, both projected off ``basis``, and backtracks
+    by Armijo (Nocedal & Wright, Numerical Optimization, 3.4).  The solve
+    stops at gradient max-norm ``_GTOL`` * m.  The curve is the total at
+    the rescaled start and after each accepted step.  A non-finite total
+    or Hessian ends the solve at once with a non-finite total."""
 
-    def total_and_grad(vec):
+    def evaluate(vec):
         up = pos @ vec
         un = neg @ vec
         a = (base_p + up**2)[ip] - (base_n + un**2)[iN]
         loss, e = _logistic_loss(a)
+        return loss + penalty + ridge * float(vec @ vec), up, un, a, e
+
+    w = _scale_start(w, pos, neg, base_p, base_n, ip, iN, ridge)
+    total, up, un, a, e = evaluate(w)
+    curve = [total]
+    gtol = _GTOL * len(ip)
+    for _ in range(_MAX_NEWTON_STEPS):
+        if not math.isfinite(total):
+            break
         s = _sigmoid(a, e)
         coef_p = np.bincount(ip, weights=s, minlength=len(base_p))
         coef_n = np.bincount(iN, weights=s, minlength=len(base_n))
-        grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un) + ridge * vec)
+        grad = 2.0 * (pos.T @ (coef_p * up) - neg.T @ (coef_n * un) + ridge * w)
         if basis is not None:
             grad -= basis @ (basis.T @ grad)
-        total = loss + penalty + ridge * float(vec @ vec)
-        if not curve:
-            curve.append(total)
-        return total, grad
-
-    result = minimize(
-        total_and_grad, w, jac=True, method="L-BFGS-B",
-        options={"gtol": _GTOL * len(ip), "ftol": 0.0},
-        callback=lambda intermediate_result: curve.append(float(intermediate_result.fun)),
-    )
-    return result.x, float(result.fun), tuple(curve)
+        if np.max(np.abs(grad)) <= gtol:
+            break
+        hess = _column_hessian(pos, neg, up, un, s, ip, iN, basis, ridge)
+        if not np.isfinite(hess).all():
+            return w, math.inf, tuple(curve)
+        step = _newton_step(hess, grad)
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = evaluate(w + t * step)
+            if trial[0] <= total + _ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no decrease left above rounding
+        w = w + t * step
+        total, up, un, a, e = trial
+        curve.append(total)
+    return w, total, tuple(curve)
 
 
 def identity_metric(tracklet_id: int, dim: int) -> TargetMetric:

@@ -285,6 +285,16 @@ def penalised_metric_loss(W, positives, negatives, ip, iN, mu):
     return float(loss + mu * len(ip) * (W**2).sum())
 
 
+def penalised_metric_loss_grad(W, positives, negatives, ip, iN, mu):
+    """Gradient of ``penalised_metric_loss`` in W, from the gathered
+    pairs: pair k adds sigmoid(a_k) * 2 (x_p x_p^T - x_n x_n^T) W."""
+    dp = ((positives @ W) ** 2).sum(axis=1)
+    dn = ((negatives @ W) ** 2).sum(axis=1)
+    sig = np.exp(-np.logaddexp(0.0, dn[iN] - dp[ip]))
+    xp, xn = positives[ip], negatives[iN]
+    return 2.0 * ((xp.T * sig) @ (xp @ W) - (xn.T * sig) @ (xn @ W) + mu * len(ip) * W)
+
+
 # Reference motion similarity: both own ranks and the joint rank from
 # their own Hankel matrices on every call, the joint sequence built one
 # tuple at a time.  The production cue must match it bit for bit.

@@ -26,6 +26,7 @@ from tracklink.model import ExitMap, RunConfig
 from conftest import bench_scene, cluster_features, make_tracklet, two_cluster_centers
 from oracles import (
     penalised_metric_loss,
+    penalised_metric_loss_grad,
     reference_collect_pairs,
     reference_probe,
     reference_sigmoid,
@@ -184,10 +185,11 @@ class TestLearnMetric:
         # finite differences whose squares overflow: every column loss is
         # non-finite, so no column may be kept
         cA, cB = two_cluster_centers(rng)
-        pos = np.abs(rng.normal(0, 1.4, (6, 32))) * 1e155
-        neg = np.abs((cA - cB) + rng.normal(0, 1.4, (20, 32))) * 1e155
-        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
-            learn_metric(PairSet(1, pos, neg), RunConfig())
+        pos = np.abs(rng.normal(0, 1.4, (6, 32)))
+        neg = np.abs((cA - cB) + rng.normal(0, 1.4, (20, 32)))
+        for scale in (1e155, 1e160):
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+                learn_metric(PairSet(1, pos * scale, neg * scale), RunConfig())
 
 
 def _cluster_pairs(rng, n_p, n_n, noise, target_ids=(1,)):
@@ -346,6 +348,120 @@ class TestZeroColumnTest:
         assert solves <= kept + uncertified
         # without the test every metric ends on one rejected solve
         assert solves - kept <= len(calls) // 10
+
+
+class TestNewtonSolve:
+    """``metric._solve_column`` takes damped Newton steps on the column
+    Hessian of ``metric._column_hessian``, the matrix the zero-column test
+    factors at w = 0."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(seed=0, n_d=4, n_p=5, n_n=6, rank=2, at_zero=True)
+    @example(seed=1, n_d=5, n_p=3, n_n=7, rank=0, at_zero=False)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_d=st.integers(1, 6),
+        n_p=st.integers(1, 8),
+        n_n=st.integers(1, 12),
+        rank=st.integers(0, 3),
+        at_zero=st.booleans(),
+    )
+    def test_hessian_matches_finite_differences(self, seed, n_d, n_p, n_n, rank, at_zero):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n_d - 1)
+        pos = np.abs(rng.normal(0, 1.0, (n_p, n_d)))
+        neg = np.abs(rng.normal(0, 1.0, (n_n, n_d)))
+        basis = np.linalg.qr(rng.normal(size=(n_d, n_d)))[0][:, :rank]
+        kept = basis * rng.uniform(0.1, 2.0, rank)
+        w = np.zeros(n_d) if at_zero else rng.normal(size=n_d)
+        base_p = ((pos @ kept) ** 2).sum(axis=1)
+        base_n = ((neg @ kept) ** 2).sum(axis=1)
+        ip, iN = metric_module._matched_pairs(n_p, n_n, 0, 1)
+        mu = metric_module._RIDGE
+        up, un = pos @ w, neg @ w
+        s = reference_sigmoid((base_p + up**2)[ip] - (base_n + un**2)[iN])
+        hess = metric_module._column_hessian(
+            pos, neg, up, un, s, ip, iN, basis if rank else None, mu * len(ip)
+        )
+        h = 1e-5
+        expected = np.empty((n_d, n_d))
+        for i in range(n_d):
+            step = h * np.eye(n_d)[i]
+            up_grad = penalised_metric_loss_grad(
+                np.column_stack([kept, w + step]), pos, neg, ip, iN, mu
+            )
+            down_grad = penalised_metric_loss_grad(
+                np.column_stack([kept, w - step]), pos, neg, ip, iN, mu
+            )
+            expected[:, i] = (up_grad[:, -1] - down_grad[:, -1]) / (2 * h)
+        # on the kept columns' span the column Hessian is the ridge's alone
+        off_basis = np.eye(n_d) - basis @ basis.T
+        expected = off_basis @ expected @ off_basis + 2.0 * mu * len(ip) * basis @ basis.T
+        assert np.max(np.abs(hess - expected)) <= 1e-6 * np.max(np.abs(expected))
+        eigenvalues = np.linalg.eigvalsh(expected)
+        if at_zero and rank and abs(eigenvalues[0]) > 1e-9 * np.max(np.abs(eigenvalues)):
+            certified = metric_module._zero_column_optimal(
+                pos, neg, base_p, base_n, ip, iN, basis, mu * len(ip)
+            )
+            assert certified == (eigenvalues[0] > 0)
+
+    def test_indefinite_start_reaches_gtol(self, rng):
+        # positives spread along axis 0 and negatives along axis 1, so at
+        # the start, a point on axis 0, the Hessian has a negative eigenvalue
+        pos = np.abs(rng.normal(0, 1, (6, 2))) * [2.0, 0.1]
+        neg = np.abs(rng.normal(0, 1, (20, 2))) * [0.1, 2.0]
+        ip, iN = metric_module._matched_pairs(6, 20, 0, 1)
+        mu = metric_module._RIDGE
+        ridge = mu * len(ip)
+        base_p, base_n = np.zeros(6), np.zeros(20)
+        start = np.array([1.0, 0.0])
+        scaled = metric_module._scale_start(start, pos, neg, base_p, base_n, ip, iN, ridge)
+        up, un = pos @ scaled, neg @ scaled
+        s = reference_sigmoid(up[ip] ** 2 - un[iN] ** 2)
+        hess = metric_module._column_hessian(pos, neg, up, un, s, ip, iN, None, ridge)
+        lowest = np.linalg.eigvalsh(hess)[0]
+        assert lowest < 0
+        grad = penalised_metric_loss_grad(scaled[:, None], pos, neg, ip, iN, mu)[:, 0]
+        step = metric_module._newton_step(hess, grad)
+        # a Levenberg step: (H + tau I) step = -grad with H + tau I positive definite
+        residual = -grad - hess @ step
+        tau = (residual @ step) / (step @ step)
+        assert tau > -lowest
+        assert np.allclose(residual, tau * step, rtol=1e-8, atol=1e-10 * np.abs(grad).max())
+        assert grad @ step < 0
+
+        w, total, curve = metric_module._solve_column(
+            start, pos, neg, base_p, base_n, ip, iN, None, ridge, 0.0
+        )
+        assert len(curve) >= 2 and np.all(np.diff(curve) <= 0)
+        assert total == curve[-1]
+        assert total == pytest.approx(
+            penalised_metric_loss(w[:, None], pos, neg, ip, iN, mu), rel=1e-12, abs=0.0
+        )
+        grad = penalised_metric_loss_grad(w[:, None], pos, neg, ip, iN, mu)[:, 0]
+        # rounding of the oracle's own sums only
+        assert np.max(np.abs(grad)) <= (1 + 1e-6) * metric_module._GTOL * len(ip)
+
+    def test_non_finite_hessian_ends_the_solve(self, rng):
+        # a tiny start keeps the total finite, but the Hessian's squared
+        # features overflow: the solve stops at once with a non-finite total
+        pos = np.abs(rng.normal(0, 1.4, (6, 4))) * 1e160
+        neg = np.abs(rng.normal(0, 1.4, (20, 4))) * 1e160
+        ip, iN = metric_module._matched_pairs(6, 20, 0, 1)
+        ridge = metric_module._RIDGE * len(ip)
+        with np.errstate(all="ignore"):
+            _, total, curve = metric_module._solve_column(
+                np.full(4, 1e-170), pos, neg, np.zeros(6), np.zeros(20), ip, iN, None, ridge, 0.0
+            )
+        assert math.isfinite(curve[0]) and len(curve) == 1
+        assert not math.isfinite(total)
+
+    def test_crowd_takes_few_steps_per_kept_column(self, tracked_learn_calls):
+        calls = tracked_learn_calls("crowd", 1)
+        steps = sum(len(curve) - 1 for call in calls for curve in call.metric.column_curves)
+        kept = sum(call.metric.rank for call in calls)
+        # L-BFGS-B took about 21 iterations per column here
+        assert steps <= 10 * kept
 
 
 @dataclasses.dataclass
