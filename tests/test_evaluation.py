@@ -377,7 +377,7 @@ class TestLearnWeights:
 
     @pytest.mark.parametrize(
         "workload, keys",
-        [("appearance", [12, 21, 12]), ("crowd", [12, 12, 12])],
+        [("appearance", [12, 12, 12]), ("crowd", [12, 12, 12])],
         ids=["appearance", "crowd"],
     )
     def test_one_solve_per_flagged_key(self, workload, keys, monkeypatch):
