@@ -6,12 +6,12 @@ pairs, negatives from other tracklets passing the spatio-temporal /
 exit relevance constraints.  W is built one orthogonal column at a time;
 each column minimises a summed logistic relative-distance loss plus a
 ridge penalty on W, solved to a gradient tolerance by damped Newton
-steps on the column's d x d Hessian (d <= 32, the feature size).
-Columns stop once the same Hessian at w = 0 has a Cholesky factor, which
-proves that no further column can lower the total: along any ray t * w
-the total is convex in u = t^2, with slope w^T H w / 2 at u = 0, so a
-positive definite Hessian makes w = 0 the column's minimum and its solve
-is skipped.  The learned metrics then refine the tracklets: a run of
+steps on the column's d x d Hessian (d <= 32, the feature size).  One
+matrix, that Hessian at w = 0, both starts and stops each column: along
+any ray t * w the total is convex in u = t^2, with slope w^T H w / 2 at
+u = 0, so a Cholesky factor proves that no further column can lower the
+total, and otherwise the column starts along the most negative
+curvature.  The learned metrics then refine the tracklets: a run of
 ``split_run`` consecutive frames too far from the tracklet's probe
 splits it.  The probe is the tracklet's first strongest sample: the rule
 that picks the samples a tracklet learns from also picks its appearance
@@ -28,7 +28,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from tracklink.model import Detection, ExitMap, RunConfig, Tracklet
 
-_COLUMN_TOL = 1e-4  # relative fall of the penalised total below this stops adding columns
 _RIDGE = 0.05  # mu: the penalty is mu * (matched-pair count) * ||W||_F^2
 # per matched pair: a column's damped Newton solve runs to gradient
 # max-norm 1e-6 * m, with no test on the fall of the total, so that no
@@ -38,11 +37,12 @@ _MAX_NEWTON_STEPS = 100  # bounds a solve; columns take about 6 steps
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking
 _MAX_HALVINGS = 50  # a step below 2^-50 of Newton's lowers nothing above rounding
 _MAX_SHIFTS = 12  # Levenberg shifts tried; the last is at least ||H||_F
-_SCALE_STEPS = 4  # Newton steps of the scale search along the start ray
-# the scale search shrinks the start by at most half: where the ray's
-# minimum lies at u = 0, an unfloored search parks the start next to the
-# saddle at w = 0
-_SCALE_FLOOR = 0.25
+# length of a column's start along its unit direction: on 673 of the 780
+# column solves of the benchmark's feature scenes, four Newton steps on
+# the total along the start ray, floored at this length, ended exactly at
+# the floor, and never above 0.58; from a unit start those scenes take
+# 7.2-7.5 Newton steps per kept column, against 5.5-6.1 from this one
+_START_LENGTH = 0.5
 _PAIR_CAP = 2000
 
 
@@ -52,9 +52,9 @@ class TargetMetric:
 
     ``initial_loss`` is the training loss before any column exists;
     ``column_curves[k]`` holds column k's penalised total loss at its
-    start (the initial column, rescaled along its ray) and after each
-    damped Newton step.  Within a column the curve is non-increasing, and
-    the per-column final losses are non-increasing across columns."""
+    start and after each damped Newton step.  Within a column the curve
+    is non-increasing, and each later column ends below the column before
+    it; column 0 may end above ``initial_loss``."""
 
     tracklet_id: int
     W: np.ndarray  # (dim, r), columns pairwise orthogonal
@@ -174,30 +174,26 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     ``_RIDGE``.  Without the ridge term the loss has no minimiser on
     separable pairs (scaling W up drives it toward 0); with it every
     column is a well-posed problem, so W's scale is set by the data.
-    Column k is initialized with the dominant eigenvector of the
-    pair-weighted second-moment difference, projected onto the orthogonal
-    complement of columns 1..k-1 and rescaled toward the minimum along its
-    ray, then solved by damped Newton steps (``_solve_column``) to a
-    gradient max-norm of 1e-6 * m, with its gradient and Hessian
-    projected onto that complement.  Column 0 is kept whatever its loss,
-    even one above the loss of the empty metric; each later column is
-    kept only when it lowers the penalised total by at least 1e-4
-    relative.  The first column that falls short of that (column 0
-    included) is the last one tried, and at most r_max are kept.  A
-    column whose loss or Hessian is not finite raises ValueError.
 
-    Before each column after the first, ``_zero_column_optimal`` stops
-    adding columns without a solve when w = 0 is provably the column's
-    minimum.  Along a ray t * w in the complement, with u = t^2, the
+    Each column starts at ``_column_start`` and is solved by damped Newton
+    steps (``_solve_column``) to a gradient max-norm of 1e-6 * m, with its
+    gradient and Hessian projected onto the orthogonal complement of the
+    kept columns.  Along a ray t * w in the complement, with u = t^2, the
     column's total is sum_k softplus(c_k + u * d_k) + mu * m * u * ||w||^2,
     with c_k the current margins and d_k = (x_p . w)^2 - (x_n . w)^2.
     That is convex in u, with slope w^T H w at u = 0, where
     H = P^T diag(s_p) P - N^T diag(s_n) N + mu * m * I and s_p, s_n are
     the per-row sums of the current margins' sigmoids; 2 H is the column
-    Hessian at w = 0 (``_column_hessian``).  When H is positive definite
-    on the complement, no column lowers the total, and the solve would
-    have been rejected.  Rejected columns leave no trace in the metric,
-    so skipping them changes no bit of it.
+    Hessian at w = 0.  So a positive definite H on the complement makes
+    w = 0 the column's minimum, and learning stops; otherwise the column
+    starts along H's most negative eigenvector, where the total falls
+    fastest from w = 0.  For column 0 that is the dominant eigenvector of
+    the pair-weighted second-moment difference, the sum over matched
+    pairs of x_n x_n^T - x_p x_p^T.  Column 0 is kept whatever its loss,
+    even one above the loss of the empty metric; a later column is kept
+    exactly when its solve lowers the penalised total, and the first that
+    does not is the last one tried.  At most min(d, 32) columns are kept.
+    A non-finite Hessian at w = 0 or a non-finite solve raises ValueError.
     """
     pos = np.asarray(pairs.positives, dtype=float)
     neg = np.asarray(pairs.negatives, dtype=float)
@@ -209,31 +205,21 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
     n_n = neg.shape[0]
     ip, iN = _matched_pairs(n_p, n_n, cfg.rng_seed, pairs.target_id)
 
-    # pair-weighted init matrix: each matched pair contributes its own
-    # x_n x_n^T - x_p x_p^T, which balances unequal class counts
-    wp = np.bincount(ip, minlength=n_p).astype(float)
-    wn = np.bincount(iN, minlength=n_n).astype(float)
-    init_matrix = (neg * wn[:, None]).T @ neg - (pos * wp[:, None]).T @ pos
-    dominant = np.linalg.eigh(init_matrix)[1][:, -1]
-
     r_max = min(n_d, 32)
     ridge = _RIDGE * len(ip)
     cols: list[np.ndarray] = []
     base_p = np.zeros(n_p)
     base_n = np.zeros(n_n)
     penalty = 0.0  # ridge * ||W||_F^2 of the kept columns
-    current_loss, _ = _logistic_loss(np.zeros(len(ip)))
-    initial_loss = current_loss
+    initial_loss, _ = _logistic_loss(np.zeros(len(ip)))
     curves: list[tuple[float, ...]] = []
 
-    for k in range(r_max):
+    for _ in range(r_max):
         basis = None
         if cols:
             q = np.stack(cols, axis=1)
             basis = q / np.linalg.norm(q, axis=0)
-            if _zero_column_optimal(pos, neg, base_p, base_n, ip, iN, basis, ridge):
-                break
-        w = _init_column(dominant, basis)
+        w = _column_start(pos, neg, base_p, base_n, ip, iN, basis, ridge, pairs.target_id)
         if w is None:
             break
         w, col_loss, curve = _solve_column(
@@ -241,19 +227,15 @@ def learn_metric(pairs: PairSet, cfg: RunConfig) -> TargetMetric:
         )
         if not math.isfinite(col_loss):
             raise ValueError(f"tracklet {pairs.target_id}: metric loss became non-finite")
-        improvement = (current_loss - col_loss) / max(abs(current_loss), 1e-12)
-        if improvement < _COLUMN_TOL and k > 0:
+        if curves and not col_loss < curves[-1][-1]:
             break
         if basis is not None:
             w = w - basis @ (basis.T @ w)
         cols.append(w)
         curves.append(curve)
-        current_loss = min(current_loss, col_loss)
         base_p += (pos @ w) ** 2
         base_n += (neg @ w) ** 2
         penalty += ridge * float(w @ w)
-        if improvement < _COLUMN_TOL:
-            break
     return TargetMetric(
         tracklet_id=pairs.target_id,
         W=np.stack(cols, axis=1),
@@ -272,34 +254,25 @@ def _matched_pairs(n_p: int, n_n: int, rng_seed: int, target_id: int):
     return flat // n_n, flat % n_n
 
 
-def _init_column(dominant: np.ndarray, basis: np.ndarray | None):
-    w = dominant.copy()
-    if basis is not None:
-        w = w - basis @ (basis.T @ w)
-    norm = np.linalg.norm(w)
-    if norm < 1e-10:
-        return None
-    w = w / norm
-    # deterministic sign
-    pivot = np.argmax(np.abs(w))
-    if w[pivot] < 0:
-        w = -w
-    return w
-
-
-def _zero_column_optimal(pos, neg, base_p, base_n, ip, iN, basis, ridge) -> bool:
-    """True when w = 0 is the global minimum of the next column's problem:
-    the column Hessian at w = 0, twice the sigmoid-weighted second-moment
-    difference at the current margins plus 2 * ridge * I, is positive
-    definite on the complement of ``basis`` (the argument is in
-    ``learn_metric``)."""
+def _column_start(pos, neg, base_p, base_n, ip, iN, basis, ridge, target_id):
+    """The next column's start: ``_START_LENGTH`` times the unit
+    eigenvector of the most negative eigenvalue of the column Hessian at
+    w = 0, its largest entry made positive; or None for a later column
+    (``basis`` given) when that Hessian has a Cholesky factor, which makes
+    w = 0 the column's minimum (the argument is in ``learn_metric``)."""
     a = base_p[ip] - base_n[iN]
     s = _sigmoid(a, np.exp(-np.abs(a)))
     curvature = _column_hessian(
         pos, neg, np.zeros(len(pos)), np.zeros(len(neg)), s, ip, iN, basis, ridge
     )
-    # a non-finite H is left to the solve, which reports a non-finite loss
-    return bool(np.isfinite(curvature).all()) and _cholesky(curvature) is not None
+    if not np.isfinite(curvature).all():
+        raise ValueError(f"tracklet {target_id}: metric loss became non-finite")
+    if basis is not None and _cholesky(curvature) is not None:
+        return None
+    w = np.linalg.eigh(curvature)[1][:, 0]
+    if w[np.argmax(np.abs(w))] < 0:  # deterministic sign
+        w = -w
+    return _START_LENGTH * w
 
 
 def _column_hessian(pos, neg, up, un, s, ip, iN, basis, ridge):
@@ -352,32 +325,14 @@ def _newton_step(hess, grad):
     return -grad  # not reached for a finite H
 
 
-def _scale_start(w, pos, neg, base_p, base_n, ip, iN, ridge):
-    """w rescaled to t * w by at most ``_SCALE_STEPS`` Newton steps on the
-    column's total along its ray, a convex function of u = t^2 (see
-    ``learn_metric``), with u kept at or above ``_SCALE_FLOOR``."""
-    c = base_p[ip] - base_n[iN]
-    d = ((pos @ w) ** 2)[ip] - ((neg @ w) ** 2)[iN]
-    u = 1.0
-    for _ in range(_SCALE_STEPS):
-        a = c + u * d
-        s = _sigmoid(a, np.exp(-np.abs(a)))
-        curvature = float((s * (1.0 - s)) @ (d * d))
-        if not curvature > 0.0:  # flat, or not finite
-            break
-        u = max(_SCALE_FLOOR, u - (float(s @ d) + ridge * float(w @ w)) / curvature)
-    return math.sqrt(u) * w
-
-
 def _solve_column(w, pos, neg, base_p, base_n, ip, iN, basis, ridge, penalty):
     """(w, final total, curve) of one column's damped Newton solve from
-    ``w``, first rescaled along its ray by ``_scale_start``.  Each step
-    solves the column Hessian, shifted until it has a Cholesky factor,
-    against the gradient, both projected off ``basis``, and backtracks
-    by Armijo (Nocedal & Wright, Numerical Optimization, 3.4).  The solve
-    stops at gradient max-norm ``_GTOL`` * m.  The curve is the total at
-    the rescaled start and after each accepted step.  A non-finite total
-    or Hessian ends the solve at once with a non-finite total."""
+    ``w``.  Each step solves the column Hessian, shifted until it has a
+    Cholesky factor, against the gradient, both projected off ``basis``,
+    and backtracks by Armijo (Nocedal & Wright, Numerical Optimization,
+    3.4).  The solve stops at gradient max-norm ``_GTOL`` * m.  The curve
+    is the total at the start and after each accepted step.  A non-finite
+    total or Hessian ends the solve at once with a non-finite total."""
 
     def evaluate(vec):
         up = pos @ vec
@@ -386,7 +341,6 @@ def _solve_column(w, pos, neg, base_p, base_n, ip, iN, basis, ridge, penalty):
         loss, e = _logistic_loss(a)
         return loss + penalty + ridge * float(vec @ vec), up, un, a, e
 
-    w = _scale_start(w, pos, neg, base_p, base_n, ip, iN, ridge)
     total, up, un, a, e = evaluate(w)
     curve = [total]
     gtol = _GTOL * len(ip)

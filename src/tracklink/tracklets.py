@@ -93,10 +93,9 @@ def build_generation_graph(detections: dict[int, list[Detection]], cfg: RunConfi
 def generate_initial_tracklets(
     detections: dict[int, list[Detection]],
     cfg: RunConfig,
-    start_id: int = 1,
 ) -> list[Tracklet]:
     """The minimum-cost set of chains of at least two detections,
-    numbered from ``start_id`` by ``(cost, end node)``.
+    numbered from 1 by ``(cost, end node)``.
 
     Returns node-disjoint tracklets; every consecutive pair inside a
     tracklet is one frame apart and within the gating radius.
@@ -113,6 +112,6 @@ def generate_initial_tracklets(
         found.append((cost + exit_[path[-1]], path[-1], path))
     found.sort(key=lambda chain: chain[:2])
     return [
-        Tracklet(id=start_id + k, detections=tuple(nodes[v] for v in path))
-        for k, (_, _, path) in enumerate(found)
+        Tracklet(id=k, detections=tuple(nodes[v] for v in path))
+        for k, (_, _, path) in enumerate(found, start=1)
     ]

@@ -212,8 +212,8 @@ class TestExactCover:
                 det(f, 400.0 - 3.0 * f, 300.0, score=0.95, hint=2)]
             for f in range(1, 9)
         }
-        got = generate_initial_tracklets(dets, RunConfig(), start_id=5)
-        assert [(t.id, t.detections[0].id_hint) for t in got] == [(5, 2), (6, 1)]
+        got = generate_initial_tracklets(dets, RunConfig())
+        assert [(t.id, t.detections[0].id_hint) for t in got] == [(1, 2), (2, 1)]
 
     @pytest.mark.parametrize("gap", [4.0, 6.0, 8.0])
     def test_parallel_lanes_keep_identities(self, gap):
